@@ -5,7 +5,6 @@
 
 #include "sim/causal_log.hpp"
 #include "trace/activity.hpp"
-#include "util/hotpath.hpp"
 
 namespace anton::net {
 
@@ -30,7 +29,6 @@ Machine::Machine(sim::Simulator& sim, util::TorusShape shape, MachineConfig cfg)
   links_.resize(std::size_t(shape.size()) * 6);
   failedLinks_.assign(std::size_t(shape.size()) * 6, 0);
   saltByNode_.assign(std::size_t(shape.size()), 0);
-  batchDrains_ = util::hotPath().batchDrains;
   sim_.addShardParticipant(this);
 }
 
@@ -359,25 +357,21 @@ void Machine::forwardOnLink(const PacketPtr& p, int nodeIdx, int entryRouter,
   int entryAdapterRouter =
       lat.ring.adapterRouter[std::size_t(RingLayout::adapterIndex(dim, -sign))];
   sim::Time atRing = headArrive + lat.adapter();
-  // A drain event executes on the far node's shard but mutates THIS link's
-  // pending queue, so batching is an intra-shard affair: arrivals crossing a
-  // shard boundary take the per-arrival path instead. Both paths consume
-  // their sequence number at this exact point, so any per-link mix of the
-  // two yields a bit-identical (time, seq) event schedule (the batched/
-  // legacy equivalence determinism_test pins).
+  // Every intra-shard arrival parks on this link's pending queue, drained
+  // by at most one kernel event per link however many packets are in
+  // flight on it. A drain event executes on the far node's shard but
+  // mutates THIS link's queue, so an arrival crossing a shard boundary takes
+  // a per-arrival event instead. Both consume their sequence number at this
+  // exact point, so any per-link mix of the two yields the same (time, seq)
+  // event schedule — the sharded-vs-serial bit-identity tests pin it.
   const sim::ShardLayout* lay = sim_.shardLayout();
   const bool cross =
       lay != nullptr && lay->shardOf(nodeIdx) != lay->shardOf(nextIdx);
-  if (batchDrains_ && !cross) {
-    // Reserve the event sequence number here — the exact point where the
-    // unbatched path consumes one — so batched and legacy runs share a
-    // bit-identical (time, seq) event schedule. The arrival parks on the
-    // link's pending queue; at most one drain event sits in the kernel per
-    // link regardless of how many packets are in flight on it. The causal
+  if (!cross) {
+    // Reserve the arrival's sequence number now and park it. The causal
     // oracle attributes the arrival here too (node, link crossing, and the
     // currently executing event as parent) — at atReserved() time the
-    // executing event would be the previous drain, which the unbatched
-    // schedule never had.
+    // executing event would be the previous drain, not the forwarder.
     std::uint64_t seq = sim_.reserveSeq();
     if (sim::CausalLog* log = sim::causalOracle())
       log->noteScheduled(seq, nextIdx, /*link=*/true);
@@ -391,11 +385,8 @@ void Machine::forwardOnLink(const PacketPtr& p, int nodeIdx, int entryRouter,
     // shared-field access. The payload buffer is refcount-shared, exactly
     // like a hardware multicast replica, so contents — and therefore every
     // delivery — are identical to handing over the original pointer.
-    PacketPtr q = p;
-    if (cross) {
-      q = allocatePacket();
-      *q = *p;
-    }
+    PacketPtr q = allocatePacket();
+    *q = *p;
     sim::ScopedEventNode affinity(nextIdx, /*link=*/true);
     sim_.at(atRing, [this, q, nextIdx, entryAdapterRouter, dim, sign, atRing] {
       routeFrom(q, nextIdx, entryAdapterRouter, dim, sign, atRing);
@@ -428,7 +419,7 @@ void Machine::drainLink(std::size_t li) {
   // monotonic (busyUntil advances by at least one serialization per
   // traversal), so there is never a second same-time arrival to fold in —
   // and unrelated events interleave between two arrivals exactly as they
-  // would between the per-traversal events of the unbatched path.
+  // would between one-event-per-traversal arrivals.
   // drainScheduled stays true across routeFrom so a multicast loop that
   // lands back on this link cannot double-schedule; the tail re-arm below
   // picks any such appendee up.

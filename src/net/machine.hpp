@@ -166,8 +166,8 @@ class Machine : public sim::ShardParticipant {
   friend class NetworkClient;
 
   /// One packet parked on a link, waiting for its head to reach the far
-  /// ring. `seq` was reserved at forwarding time, so the batched drain
-  /// replays the exact (time, seq) schedule the per-arrival events had.
+  /// ring. `seq` was reserved at forwarding time, so the drain runs each
+  /// arrival in the (time, seq) slot of its forwarding point.
   struct Arrival {
     PacketPtr p;
     sim::Time atRing;
@@ -251,13 +251,6 @@ class Machine : public sim::ShardParticipant {
   int traceFaultUnit_ = 0;
   FaultModel* fault_ = nullptr;
   bool faultReroute_ = false;
-  /// Snapshot of util::hotPath().batchDrains at construction: whether link
-  /// arrivals funnel through per-link drain events (one in the kernel per
-  /// link) or schedule one event per traversal (the legacy reference path).
-  /// Under the sharded kernel only intra-shard arrivals batch; cross-shard
-  /// forwards take the per-arrival path (same (time, seq) schedule) so a
-  /// drain event on the far shard never mutates this shard's link state.
-  bool batchDrains_ = true;
   DropHandler dropHandler_;
 
   // --- sharded staging (empty in serial mode) ---

@@ -3,7 +3,7 @@
 // The static lookahead analyzer (verify/lookahead.hpp) proves that every
 // cross-shard happens-before edge of a CommPlan carries at least the shard
 // pair's minimum link latency. This log is the dynamic side of that proof:
-// behind a util::hotPath()-style thread-local knob, the serial Simulator
+// behind a thread-local attach point (causalOracle()), the serial Simulator
 // records each executed event's (time, seq, causal parent, attributed node)
 // so an offline checker can assert every *observed* cross-shard delta
 // respects the statically claimed bound — a would-be race caught before a
@@ -21,13 +21,13 @@
 //                (Machine::forwardOnLink). Only link edges claim the
 //                lookahead bound; inherited attribution is advisory.
 //
-// The knob must not perturb the schedule: recording happens strictly at
+// Recording must not perturb the schedule: it happens strictly at
 // schedule/execute points the kernel visits anyway, and with no log
 // attached the hooks are a single thread-local pointer test. Batched link
-// drains (util::hotPath().batchDrains) attribute arrivals at their
-// reserveSeq() point — the exact spot the legacy path consumes a seq — so
-// the recorded trace is bit-identical across hot-path knob modes
-// (tests/determinism_test.cpp pins this).
+// drains attribute each arrival at its reserveSeq() point, where the
+// forwarding event is still the one executing, so the parent is the event
+// that put the packet on the wire (tests/determinism_test.cpp pins the
+// recorded trace's digest).
 #pragma once
 
 #include <cstdint>
@@ -132,8 +132,8 @@ class CausalLog {
     executingNode_ = -1;
   }
 
-  /// FNV-1a over every record, field by field — the value that must match
-  /// bit-for-bit across hot-path knob modes.
+  /// FNV-1a over every record, field by field — the value
+  /// tests/determinism_test.cpp pins.
   std::uint64_t digest() const {
     std::uint64_t h = 0xcbf29ce484222325ULL;
     auto mix = [&h](std::uint64_t v) {
@@ -176,7 +176,7 @@ class CausalLog {
 
 /// This thread's attached oracle log, or nullptr (the default: the kernel
 /// hooks reduce to one pointer test and record nothing). Thread-local for
-/// the same reason util::hotPath() is: serve workers each own an arena.
+/// the same reason the slab pools are: serve workers each own an arena.
 inline CausalLog*& causalOracle() {
   thread_local CausalLog* log = nullptr;
   return log;

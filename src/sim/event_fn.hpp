@@ -6,11 +6,6 @@
 // (~16 bytes — the per-hop routing continuation is ~48). EventFn gives each
 // event a fixed 64-byte inline capture slot, falling back to a heap box only
 // for oversized captures, so steady-state event scheduling never allocates.
-//
-// With util::hotPath().inlineEvents off, EventFn emulates std::function's
-// small-buffer behavior (captures above 16 bytes go to the heap) — the
-// legacy reference mode bench/kernel_throughput measures speedups against.
-// The knob changes host allocation only; invocation semantics are identical.
 #pragma once
 
 #include <cstddef>
@@ -18,8 +13,6 @@
 #include <new>
 #include <type_traits>
 #include <utility>
-
-#include "util/hotpath.hpp"
 
 namespace anton::sim {
 
@@ -29,8 +22,6 @@ class EventFn {
   /// (per-hop routing: this + PacketPtr + 4 ints + a Time) with headroom.
   static constexpr std::size_t kInlineBytes = 64;
   static constexpr std::size_t kInlineAlign = 16;
-  /// Capture limit emulated in legacy mode (std::function's typical SBO).
-  static constexpr std::size_t kLegacySboBytes = 16;
 
   EventFn() noexcept = default;
 
@@ -45,15 +36,13 @@ class EventFn {
     constexpr bool fits =
         sizeof(D) <= kInlineBytes && alignof(D) <= kInlineAlign;
     if constexpr (fits) {
-      if (sizeof(D) <= kLegacySboBytes || util::hotPath().inlineEvents) {
-        ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-        ops_ = &inlineOps<D>;
-        return;
-      }
+      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+      ops_ = &inlineOps<D>;
+    } else {
+      // Oversized capture: box it on the heap.
+      ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
+      ops_ = &boxedOps<D>;
     }
-    // Oversized capture (or legacy mode): box it on the heap.
-    ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
-    ops_ = &boxedOps<D>;
   }
 
   EventFn(EventFn&& o) noexcept : ops_(o.ops_) {

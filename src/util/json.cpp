@@ -58,9 +58,13 @@ class Parser {
     Value v;
     switch (c) {
       case '{':
-        return parseObject();
-      case '[':
-        return parseArray();
+      case '[': {
+        if (++depth_ > kMaxDepth)
+          fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+        v = c == '{' ? parseObject() : parseArray();
+        --depth_;
+        return v;
+      }
       case '"':
         v.type = Value::kString;
         v.s = parseString();
@@ -225,6 +229,7 @@ class Parser {
   const std::string& text_;
   const std::string& context_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< open arrays/objects enclosing pos_
 };
 
 }  // namespace

@@ -27,8 +27,15 @@ struct Value {
   std::map<std::string, Value> obj;
 };
 
+/// Deepest array/object nesting parse() accepts. Every document the repo
+/// writes nests at most a handful of levels; the cap turns adversarial input
+/// (a protocol line of a million '[') into an ordinary parse error instead
+/// of a stack overflow.
+inline constexpr int kMaxDepth = 256;
+
 /// Parse exactly one JSON document. Throws std::runtime_error with a
-/// position-annotated message prefixed by `context` on malformed input.
+/// position-annotated message prefixed by `context` on malformed input,
+/// including nesting deeper than kMaxDepth.
 Value parse(const std::string& text, const std::string& context = "json");
 
 /// JSON string literal: quotes, backslashes and control characters escaped.

@@ -1,7 +1,7 @@
 // Pool-layer coverage for the zero-allocation hot path: slab exhaustion is
 // a loud error (never UB), recycled slots come back with fresh bookkeeping,
-// multicast replicas share one refcounted payload slot, and blocks survive
-// the pooling knob flipping between heap and slab origins.
+// multicast replicas share one refcounted payload slot, and oversized
+// requests take a tagged heap block that every release path handles.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -14,17 +14,14 @@
 #include "sim/event_fn.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
-#include "util/hotpath.hpp"
 #include "util/slab_pool.hpp"
 
 namespace anton {
 namespace {
 
-using util::ScopedHotPath;
 using util::SlabPool;
 
 TEST(SlabPool, ServesAndRecyclesSlots) {
-  ScopedHotPath hot(true);
   SlabPool pool("t");
   void* a = pool.alloc(48);
   void* b = pool.alloc(48);
@@ -47,7 +44,6 @@ TEST(SlabPool, ServesAndRecyclesSlots) {
 }
 
 TEST(SlabPool, ExhaustionIsALoudErrorNamingThePool) {
-  ScopedHotPath hot(true);
   SlabPool pool("tiny-budget", /*maxBytes=*/1024);
   try {
     pool.alloc(64);  // the first slab carve (64 KiB) already busts 1 KiB
@@ -63,49 +59,24 @@ TEST(SlabPool, ExhaustionIsALoudErrorNamingThePool) {
   pool.free(p);
 }
 
-TEST(SlabPool, OversizedRequestsAndDisabledPoolingFallBackToTheHeap) {
+TEST(SlabPool, OversizedRequestsFallBackToTheHeap) {
   SlabPool pool("t");
-  {
-    ScopedHotPath hot(true);
-    void* big = pool.alloc(SlabPool::kMaxSlotBytes + 1);
-    EXPECT_EQ(pool.stats().heapAllocs, 1u);
-    EXPECT_EQ(pool.stats().poolAllocs, 0u);
-    pool.free(big);
-    EXPECT_EQ(pool.stats().heapFrees, 1u);
-  }
-  {
-    ScopedHotPath hot(false);
-    void* p = pool.alloc(64);
-    EXPECT_EQ(pool.stats().heapAllocs, 2u);
-    pool.free(p);
-    EXPECT_EQ(pool.stats().heapFrees, 2u);
-  }
+  void* big = pool.alloc(SlabPool::kMaxSlotBytes + 1);
+  EXPECT_EQ(pool.stats().heapAllocs, 1u);
+  EXPECT_EQ(pool.stats().poolAllocs, 0u);
+  pool.free(big);
+  EXPECT_EQ(pool.stats().heapFrees, 1u);
   EXPECT_EQ(pool.stats().slabBytes, 0u) << "no slab was ever carved";
-}
 
-TEST(SlabPool, BlocksSurviveThePoolingKnobFlippingBetweenAllocAndFree) {
-  // Origin is tagged in the block header, so a block allocated under one
-  // knob setting is released correctly under the other.
-  SlabPool pool("t");
-  void* heapBorn;
-  void* poolBorn;
-  {
-    ScopedHotPath off(false);
-    heapBorn = pool.alloc(64);
-  }
-  {
-    ScopedHotPath on(true);
-    poolBorn = pool.alloc(64);
-    pool.free(heapBorn);  // heap-tagged: must go back to operator delete
-    EXPECT_EQ(pool.stats().heapFrees, 1u);
-    EXPECT_EQ(pool.stats().poolFrees, 0u);
-  }
-  {
-    ScopedHotPath off(false);
-    pool.free(poolBorn);  // pool-tagged: must go back to its freelist
-    EXPECT_EQ(pool.stats().poolFrees, 1u);
-    EXPECT_EQ(pool.stats().live, 0u);
-  }
+  // Heap and slab blocks live side by side; each free follows its header.
+  void* slot = pool.alloc(64);
+  big = pool.alloc(SlabPool::kMaxSlotBytes + 1);
+  pool.free(big);  // heap-tagged: back to operator delete
+  EXPECT_EQ(pool.stats().heapFrees, 2u);
+  EXPECT_EQ(pool.stats().poolFrees, 0u);
+  pool.free(slot);  // pool-tagged: back to its freelist
+  EXPECT_EQ(pool.stats().poolFrees, 1u);
+  EXPECT_EQ(pool.stats().live, 0u);
 }
 
 // --- cross-thread discipline for the sharded kernel's per-shard pools ------
@@ -117,7 +88,6 @@ TEST(SlabPool, BlocksSurviveThePoolingKnobFlippingBetweenAllocAndFree) {
 // shard barrier.
 
 TEST(SlabPool, CrossThreadFreeParksUntilTheOwnerDrainsAtTheNextAlloc) {
-  ScopedHotPath hot(true);
   SlabPool pool("xfree");
   void* a = pool.alloc(48);
   std::thread([&] { pool.free(a); }).join();
@@ -136,7 +106,6 @@ TEST(SlabPool, CrossThreadFreeParksUntilTheOwnerDrainsAtTheNextAlloc) {
 }
 
 TEST(SlabPool, ExplicitDrainAtAQuiescentPointRecoversParkedSlots) {
-  ScopedHotPath hot(true);
   SlabPool pool("xdrain");
   void* a = pool.alloc(64);
   void* b = pool.alloc(64);
@@ -151,7 +120,6 @@ TEST(SlabPool, ExplicitDrainAtAQuiescentPointRecoversParkedSlots) {
 }
 
 TEST(SlabPool, ReleaseRoutesEveryBlockToItsOriginPoolNotTheCallersPool) {
-  ScopedHotPath hot(true);
   SlabPool shard0("shard0");
   SlabPool shard1("shard1");
   void* a = shard0.alloc(64);
@@ -167,7 +135,6 @@ TEST(SlabPool, ReleaseRoutesEveryBlockToItsOriginPoolNotTheCallersPool) {
 }
 
 TEST(SlabPool, ForeignWorkerReleaseNeverTouchesAnotherPoolsFreelist) {
-  ScopedHotPath hot(true);
   SlabPool shard0("shard0");
   SlabPool shard1("shard1");
   void* a = shard0.alloc(64);
@@ -186,11 +153,7 @@ TEST(SlabPool, ForeignWorkerReleaseNeverTouchesAnotherPoolsFreelist) {
 
 TEST(SlabPool, CrossThreadHeapFreeIsImmediateAndCounted) {
   SlabPool pool("xheap");
-  void* p;
-  {
-    ScopedHotPath off(false);
-    p = pool.alloc(64);  // heap-tagged block
-  }
+  void* p = pool.alloc(SlabPool::kMaxSlotBytes + 1);  // heap-tagged block
   std::thread([&] { pool.free(p); }).join();
   // Heap blocks never ride the freelists, so the non-owner free completes
   // immediately; only the counter crosses threads (atomically).
@@ -199,11 +162,9 @@ TEST(SlabPool, CrossThreadHeapFreeIsImmediateAndCounted) {
 }
 
 TEST(SlabPool, SetOwnerHandsFreelistRightsToTheAdoptingWorker) {
-  ScopedHotPath hot(true);
   SlabPool pool("adopted");
   void* a = pool.alloc(48);
   std::thread worker([&] {
-    ScopedHotPath workerHot(true);
     pool.setOwner(std::this_thread::get_id());
     pool.free(a);  // owner path now: straight onto the freelist
     void* b = pool.alloc(48);
@@ -217,7 +178,6 @@ TEST(SlabPool, SetOwnerHandsFreelistRightsToTheAdoptingWorker) {
 }
 
 TEST(PacketPool, RecycledPacketSlotComesBackWithFreshBookkeeping) {
-  ScopedHotPath hot(true);
   net::PacketPtr p = net::allocatePacket();
   p->counterId = 7;
   p->address = 0xabcd;
@@ -242,7 +202,6 @@ TEST(PacketPool, RecycledPacketSlotComesBackWithFreshBookkeeping) {
 }
 
 TEST(PacketPool, RecycledPayloadSlotIsRezeroed) {
-  ScopedHotPath hot(true);
   std::vector<std::byte> junk(net::kMaxPayloadBytes, std::byte{0xff});
   net::PayloadPtr a = net::makePayload(junk.data(), junk.size());
   const void* slot = a.get();
@@ -255,7 +214,6 @@ TEST(PacketPool, RecycledPayloadSlotIsRezeroed) {
 }
 
 TEST(PacketPool, MulticastReplicasShareOnePayloadSlot) {
-  ScopedHotPath hot(true);
   sim::Simulator sim;
   net::Machine m(sim, {2, 2, 1});
   // Local fan-out to three slices plus one link hop to the +x neighbor,
@@ -299,48 +257,63 @@ TEST(PacketPool, MulticastReplicasShareOnePayloadSlot) {
       << "the shared slot must return once the last replica lets go";
 }
 
-TEST(EventFn, LargeCapturesStayInlineWhenTheKnobIsOnAndWorkBoxed) {
-  // Behavior (invocation, moves, destruction) is identical in both modes;
-  // only the storage strategy differs.
-  struct Big {
-    int pad[12] = {};  // 48 bytes: over the legacy SBO, under kInlineBytes
-    int* hits;
-    void operator()() const { ++*hits; }
-  };
-  for (bool knob : {true, false}) {
-    ScopedHotPath hot(knob);
-    int hits = 0;
-    sim::EventFn fn(Big{{}, &hits});
-    sim::EventFn moved(std::move(fn));
-    EXPECT_FALSE(static_cast<bool>(fn));  // NOLINT(bugprone-use-after-move)
-    ASSERT_TRUE(static_cast<bool>(moved));
-    moved();
-    moved();
-    EXPECT_EQ(hits, 2);
-    sim::EventFn assigned;
-    assigned = std::move(moved);
-    assigned();
-    EXPECT_EQ(hits, 3);
-  }
+/// True when `p` lies inside the EventFn object itself (inline storage)
+/// rather than in a heap box it points to.
+bool storedInline(const sim::EventFn& fn, const void* p) {
+  auto* lo = reinterpret_cast<const unsigned char*>(&fn);
+  auto* at = static_cast<const unsigned char*>(p);
+  return at >= lo && at < lo + sizeof(sim::EventFn);
 }
 
-TEST(EventFn, OversizedCapturesBoxToTheHeapInEitherMode) {
+TEST(EventFn, LargeCapturesStayInlineThroughMovesAndCalls) {
+  struct Big {
+    int pad[10] = {};  // 56 bytes in all: over std::function's SBO, under
+    int* hits;         // kInlineBytes
+    const void** self;
+    void operator()() const {
+      ++*hits;
+      *self = this;
+    }
+  };
+  static_assert(sizeof(Big) > 16 && sizeof(Big) <= sim::EventFn::kInlineBytes);
+  int hits = 0;
+  const void* self = nullptr;
+  sim::EventFn fn(Big{{}, &hits, &self});
+  sim::EventFn moved(std::move(fn));
+  EXPECT_FALSE(static_cast<bool>(fn));  // NOLINT(bugprone-use-after-move)
+  ASSERT_TRUE(static_cast<bool>(moved));
+  moved();
+  moved();
+  EXPECT_EQ(hits, 2);
+  EXPECT_TRUE(storedInline(moved, self));
+  sim::EventFn assigned;
+  assigned = std::move(moved);
+  assigned();
+  EXPECT_EQ(hits, 3);
+  EXPECT_TRUE(storedInline(assigned, self));
+}
+
+TEST(EventFn, OversizedCapturesBoxToTheHeap) {
   struct Huge {
     char pad[96] = {};  // over kInlineBytes: always boxed
     int* hits;
-    void operator()() const { ++*hits; }
+    const void** self;
+    void operator()() const {
+      ++*hits;
+      *self = this;
+    }
   };
   static_assert(sizeof(Huge) > sim::EventFn::kInlineBytes);
-  ScopedHotPath hot(true);
   int hits = 0;
-  sim::EventFn fn(Huge{{}, &hits});
+  const void* self = nullptr;
+  sim::EventFn fn(Huge{{}, &hits, &self});
   sim::EventFn moved(std::move(fn));
   moved();
   EXPECT_EQ(hits, 1);
+  EXPECT_FALSE(storedInline(moved, self));
 }
 
 TEST(TaskFramePool, CoroutineFramesRecycleThroughTheSlabPool) {
-  ScopedHotPath hot(true);
   const util::SlabPoolStats before = sim::taskFramePool().stats();
   sim::Simulator sim;
   auto tiny = [](sim::Simulator& s) -> sim::Task { co_await s.delay(sim::ns(1)); };

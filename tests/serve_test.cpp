@@ -406,5 +406,20 @@ TEST(Protocol, MalformedRequestsKeepTheServerHealthy) {
   server.shutdown();
 }
 
+TEST(Protocol, AdversariallyDeepJsonIsRejectedNotACrash) {
+  // A million nested arrays would overflow the stack of a recursive parser
+  // and take the whole daemon down with one line.
+  JobServer server({.workers = 1, .queueCapacity = 4});
+  ProtocolResult r = handleLine(
+      server, std::string(1000000, '[') + std::string(1000000, ']'));
+  EXPECT_FALSE(r.shutdown);
+  json::Value resp = json::parse(r.response, "resp");
+  EXPECT_FALSE(json::asBool(json::field(resp, "ok", "r"), "ok"));
+  ProtocolResult status = handleLine(server, "{\"op\":\"status\"}");
+  json::Value st = json::parse(status.response, "status");
+  EXPECT_TRUE(json::asBool(json::field(st, "ok", "s"), "ok"));
+  server.shutdown();
+}
+
 }  // namespace
 }  // namespace anton::serve

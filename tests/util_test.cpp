@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
+#include "util/json.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/torus_coord.hpp"
@@ -122,6 +125,35 @@ TEST(Table, Renders) {
 TEST(Table, NumFormat) {
   EXPECT_EQ(TablePrinter::num(1.234, 2), "1.23");
   EXPECT_EQ(TablePrinter::num(5, 0), "5");
+}
+
+TEST(Json, NestingIsCappedWithAnOrdinaryParseError) {
+  auto arrays = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  // At the cap: parses, for arrays and for objects.
+  json::Value v = json::parse(arrays(json::kMaxDepth));
+  int depth = 1;
+  for (const json::Value* p = &v; !p->arr.empty(); p = &p->arr[0]) ++depth;
+  EXPECT_EQ(depth, json::kMaxDepth);
+  std::string objects;
+  for (int d = 1; d < json::kMaxDepth; ++d) objects += "{\"k\":";
+  objects += "{}" + std::string(std::size_t(json::kMaxDepth - 1), '}');
+  EXPECT_EQ(json::parse(objects).type, json::Value::kObject);
+
+  // One past the cap, and a million deep (a stack overflow without the cap):
+  // the parser's usual runtime_error, prefixed by the caller's context.
+  for (std::size_t d :
+       {std::size_t(json::kMaxDepth) + 1, std::size_t(1000000)}) {
+    SCOPED_TRACE(d);
+    try {
+      json::parse(arrays(d), "deep");
+      FAIL() << "over-deep document must throw";
+    } catch (const std::runtime_error& e) {
+      std::string what = e.what();
+      EXPECT_EQ(what.rfind("deep: nesting deeper than", 0), 0u) << what;
+    }
+  }
 }
 
 }  // namespace
