@@ -7,11 +7,8 @@
 namespace anton::net {
 
 NetworkClient::NetworkClient(Machine& machine, ClientAddr addr,
-                             std::size_t memBytes, int numCounters)
-    : machine_(machine),
-      addr_(addr),
-      mem_(memBytes),
-      counters_(std::size_t(numCounters)) {}
+                             std::span<std::byte> mem, int numCounters)
+    : machine_(machine), addr_(addr), mem_(mem), numCounters_(numCounters) {}
 
 void NetworkClient::hostWrite(std::uint32_t address, const void* data,
                               std::size_t n) {
@@ -25,31 +22,29 @@ sim::Time NetworkClient::pollLatency() const {
 }
 
 void NetworkClient::CounterWait::await_suspend(std::coroutine_handle<> h) const {
-  SyncCounter& c = client.counters_[std::size_t(id)];
-  if (c.value >= target) {
+  if (client.counterValue(id) >= target) {
     // Already satisfied: the poll still costs one successful-poll latency.
     client.machine_.sim().resumeAfter(client.pollLatency(), h);
   } else {
-    c.waiters.push_back({target, 0, [h] { h.resume(); }});
+    client.counterSlot(id).waiters.push_back({target, 0, [h] { h.resume(); }});
   }
 }
 
 std::uint64_t NetworkClient::onCounter(int id, std::uint64_t target,
                                        std::function<void()> fn) {
-  checkCounter(id);
-  SyncCounter& c = counters_[std::size_t(id)];
-  if (c.value >= target) {
+  if (counterValue(id) >= target) {
     machine_.sim().after(pollLatency(), std::move(fn));
     return 0;
   }
   std::uint64_t token = ++waiterSeq_;
-  c.waiters.push_back({target, token, std::move(fn)});
+  counterSlot(id).waiters.push_back({target, token, std::move(fn)});
   return token;
 }
 
 bool NetworkClient::cancelCounterWaiter(int id, std::uint64_t token) {
   if (token == 0) return false;
   checkCounter(id);
+  if (std::size_t(id) >= counters_.size()) return false;  // nothing parked
   SyncCounter& c = counters_[std::size_t(id)];
   for (auto it = c.waiters.begin(); it != c.waiters.end(); ++it) {
     if (it->token == token) {
@@ -69,7 +64,7 @@ std::map<int, std::uint64_t> NetworkClient::counterSources(int id) const {
 }
 
 void NetworkClient::bumpCounter(int id, sim::Time /*now*/, int srcNode) {
-  SyncCounter& c = counters_[std::size_t(id)];
+  SyncCounter& c = counterSlot(id);
   ++c.value;
   if (srcNode >= 0) {
     std::uint64_t key = tallyKey(id, srcNode);

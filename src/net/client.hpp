@@ -45,7 +45,9 @@ struct SyncCounter {
 
 class NetworkClient {
  public:
-  NetworkClient(Machine& machine, ClientAddr addr, std::size_t memBytes,
+  /// `mem` is this client's slice of the machine's zero-page mapping; the
+  /// counter bank starts empty and grows on first use (see counterSlot).
+  NetworkClient(Machine& machine, ClientAddr addr, std::span<std::byte> mem,
                 int numCounters);
   virtual ~NetworkClient() = default;
   NetworkClient(const NetworkClient&) = delete;
@@ -73,8 +75,15 @@ class NetworkClient {
   }
 
   // --- synchronization counters ---
-  int numCounters() const { return static_cast<int>(counters_.size()); }
-  std::uint64_t counterValue(int id) const { return counters_.at(size_t(id)).value; }
+  // The bank is materialized on first touch: a counter that was never bumped
+  // or waited on reads value 0 with no waiters. Ids are still checked
+  // against the full bound numCounters().
+  int numCounters() const { return numCounters_; }
+  std::uint64_t counterValue(int id) const {
+    checkCounter(id);
+    return std::size_t(id) < counters_.size() ? counters_[std::size_t(id)].value
+                                              : 0;
+  }
 
   /// Awaitable: suspend until counters[id] >= target, then resume after the
   /// polling latency (local poll for slices/HTIS, cross-ring poll for
@@ -109,7 +118,10 @@ class NetworkClient {
   /// Number of wake actions currently parked on counter `id` (observability
   /// for leak tests and diagnostics).
   std::size_t counterWaiters(int id) const {
-    return counters_.at(std::size_t(id)).waiters.size();
+    checkCounter(id);
+    return std::size_t(id) < counters_.size()
+               ? counters_[std::size_t(id)].waiters.size()
+               : 0;
   }
 
   /// Arrival tally (source node -> packets) of a counter. Sources are
@@ -155,14 +167,23 @@ class NetworkClient {
  protected:
   void bumpCounter(int id, sim::Time now, int srcNode = -1);
   void checkCounter(int id) const {
-    if (id < 0 || id >= numCounters())
+    if (id < 0 || id >= numCounters_)
       throw std::out_of_range("bad sync counter id");
+  }
+  /// The bank entry of a checked counter id, growing the bank to id + 1 on
+  /// its first mutating use. Growth reallocates the bank: never hold a
+  /// SyncCounter& across a call that can grow it.
+  SyncCounter& counterSlot(int id) {
+    if (std::size_t(id) >= counters_.size())
+      counters_.resize(std::size_t(id) + 1);
+    return counters_[std::size_t(id)];
   }
 
   Machine& machine_;
   ClientAddr addr_;
-  std::vector<std::byte> mem_;
-  std::vector<SyncCounter> counters_;
+  std::span<std::byte> mem_;  ///< view into Machine's zero-page mapping
+  int numCounters_;
+  std::vector<SyncCounter> counters_;  ///< grown on demand, <= numCounters_
   std::uint64_t waiterSeq_ = 0;  ///< cancellation-token source (0 reserved)
   /// Per-(counter, source-node) arrival tally, maintained from the first
   /// counted delivery onward. Flattened to one hash map keyed by

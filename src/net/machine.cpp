@@ -1,6 +1,10 @@
 #include "net/machine.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <limits>
+#include <new>
 #include <stdexcept>
 
 #include "sim/causal_log.hpp"
@@ -14,17 +18,48 @@ namespace {
 constexpr std::array<std::array<int, 3>, 6> kDimPerms = {{
     {0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}};
 
-}  // namespace
-
-Machine::Machine(sim::Simulator& sim, util::TorusShape shape, MachineConfig cfg)
-    : sim_(sim), shape_(shape), cfg_(cfg), faultReroute_(cfg.faultReroute) {
+/// Bytes of client memory a machine of `shape` maps. Rejects a degenerate
+/// shape before anything is mapped.
+std::size_t clientMemTotal(const util::TorusShape& shape, std::size_t perClient) {
   if (shape.nx < 1 || shape.ny < 1 || shape.nz < 1)
     throw std::invalid_argument("torus extents must be positive");
+  const std::size_t clients = std::size_t(shape.size()) * kClientsPerNode;
+  if (perClient != 0 && clients > std::numeric_limits<std::size_t>::max() / perClient)
+    throw std::bad_alloc();
+  return clients * perClient;
+}
+
+}  // namespace
+
+ZeroPageMapping::ZeroPageMapping(std::size_t bytes) : bytes_(bytes) {
+  if (bytes == 0) return;  // mmap rejects empty mappings
+  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  base_ = static_cast<std::byte*>(p);
+  // A transparent huge page would zero 2 MiB on every first touch, so opt
+  // out even where THP defaults to "always". Advisory: a kernel without THP
+  // rejects it, which changes nothing.
+  ::madvise(p, bytes, MADV_NOHUGEPAGE);
+}
+
+ZeroPageMapping::~ZeroPageMapping() {
+  if (base_ != nullptr) ::munmap(base_, bytes_);
+}
+
+Machine::Machine(sim::Simulator& sim, util::TorusShape shape, MachineConfig cfg)
+    : sim_(sim),
+      shape_(shape),
+      cfg_(cfg),
+      clientMem_(clientMemTotal(shape, cfg.clientMemBytes)),
+      faultReroute_(cfg.faultReroute) {
+  const std::size_t nodeMemBytes = kClientsPerNode * cfg.clientMemBytes;
   nodes_.reserve(std::size_t(shape.size()));
   for (int i = 0; i < shape.size(); ++i) {
+    std::span<std::byte> nodeMem{clientMem_.data() + std::size_t(i) * nodeMemBytes,
+                                 nodeMemBytes};
     nodes_.push_back(std::make_unique<Node>(*this, i, util::torusCoordOf(i, shape),
-                                            cfg.clientMemBytes,
-                                            cfg.countersPerClient));
+                                            nodeMem, cfg.countersPerClient));
   }
   links_.resize(std::size_t(shape.size()) * 6);
   failedLinks_.assign(std::size_t(shape.size()) * 6, 0);

@@ -25,13 +25,35 @@ namespace anton::net {
 /// Structural configuration of a machine instance.
 struct MachineConfig {
   LatencyConfig latency;
-  std::size_t clientMemBytes = 256 << 10;  ///< local memory per client
-  int countersPerClient = 256;           ///< sync counters per client
+  /// Local memory bound per client: address space reserved in the machine's
+  /// zero-page mapping, committed page by page as the simulation writes it.
+  std::size_t clientMemBytes = 256 << 10;
+  /// Sync-counter bound per client: ids at or past it are rejected; the bank
+  /// materializes only the counters a run touches.
+  int countersPerClient = 256;
   bool adaptiveRouting = true;  ///< permute dimension order for packets
                                 ///< without the in-order flag
   bool faultReroute = false;  ///< degraded mode: route around links that the
                               ///< installed fault model reports as down, via
                               ///< a non-preferred dimension order
+};
+
+/// One anonymous private mapping (POSIX mmap) that backs every client's local
+/// memory. The kernel zero-fills a page on its first write, so a machine pays
+/// only for the pages its traffic touches; untouched pages cost nothing to
+/// map or unmap. Throws std::bad_alloc when the mapping fails.
+class ZeroPageMapping {
+ public:
+  explicit ZeroPageMapping(std::size_t bytes);
+  ~ZeroPageMapping();
+  ZeroPageMapping(const ZeroPageMapping&) = delete;
+  ZeroPageMapping& operator=(const ZeroPageMapping&) = delete;
+
+  std::byte* data() const { return base_; }
+
+ private:
+  std::byte* base_ = nullptr;
+  std::size_t bytes_ = 0;
 };
 
 /// Aggregate traffic statistics. The reliability counters stay exactly zero
@@ -229,6 +251,8 @@ class Machine : public sim::ShardParticipant {
   sim::Simulator& sim_;
   util::TorusShape shape_;
   MachineConfig cfg_;
+  /// Backs every client's memory; declared before nodes_ so it outlives them.
+  ZeroPageMapping clientMem_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<Link> links_;
   /// Sticky per-link failed marks (node * 6 + adapter), set when a traversal

@@ -1,5 +1,8 @@
 #include "serve/protocol.hpp"
 
+#include <unistd.h>
+
+#include <cerrno>
 #include <sstream>
 
 #include "util/json.hpp"
@@ -29,6 +32,17 @@ std::string handleSubmit(JobServer& server, const json::Value& req) {
     return "{\"ok\":false,\"rejected\":true,\"error\":" +
            json::quoted(out.reason) + "}";
   return "{\"ok\":true,\"id\":" + std::to_string(out.id) + "}";
+}
+
+bool writeAll(int fd, const std::string& data) {
+  std::size_t off = 0;
+  while (off < data.size()) {
+    ssize_t put = ::write(fd, data.data() + off, data.size() - off);
+    if (put < 0 && errno == EINTR) continue;
+    if (put <= 0) return false;
+    off += std::size_t(put);
+  }
+  return true;
 }
 
 }  // namespace
@@ -76,6 +90,63 @@ ProtocolResult handleLine(JobServer& server, const std::string& line) {
     return {errorResponse("unknown op \"" + op + "\""), false};
   } catch (const std::exception& e) {
     return {errorResponse(e.what()), false};
+  }
+}
+
+LineReader::Status LineReader::next(std::string& line) {
+  for (;;) {
+    std::size_t nl = buffer_.find('\n', scanned_);
+    if (nl != std::string::npos) {
+      const bool tooLong = discarding_ || nl > kMaxLineBytes;
+      if (!tooLong) line.assign(buffer_, 0, nl);
+      buffer_.erase(0, nl + 1);
+      scanned_ = 0;
+      discarding_ = false;
+      return tooLong ? Status::kTooLong : Status::kLine;
+    }
+    if (buffer_.size() > kMaxLineBytes) {
+      // No terminator within the cap: drop what we hold and skip the rest
+      // of the line as it arrives.
+      discarding_ = true;
+      buffer_.clear();
+    }
+    scanned_ = buffer_.size();
+    char chunk[4096];
+    ssize_t got = ::read(fd_, chunk, sizeof chunk);
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) {
+      const bool tooLong = discarding_;
+      discarding_ = false;
+      scanned_ = 0;
+      if (tooLong) return Status::kTooLong;
+      if (buffer_.empty()) return Status::kEof;
+      line = std::move(buffer_);  // final unterminated line
+      buffer_.clear();
+      return Status::kLine;
+    }
+    buffer_.append(chunk, std::size_t(got));
+  }
+}
+
+bool serveSession(JobServer& server, int inFd, int outFd) {
+  LineReader reader(inFd);
+  std::string line;
+  for (;;) {
+    ProtocolResult result;
+    switch (reader.next(line)) {
+      case LineReader::Status::kEof:
+        return false;
+      case LineReader::Status::kTooLong:
+        result.response = errorResponse(
+            "request line exceeds " + std::to_string(kMaxLineBytes) + " bytes");
+        break;
+      case LineReader::Status::kLine:
+        if (line.empty()) continue;
+        result = handleLine(server, line);
+        break;
+    }
+    if (!writeAll(outFd, result.response + "\n")) return false;
+    if (result.shutdown) return true;
   }
 }
 

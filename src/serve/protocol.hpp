@@ -11,9 +11,12 @@
 // Responses always carry "ok". Success: {"ok":true,...}; any malformed
 // line, unknown op, invalid spec or rejected submission answers
 // {"ok":false,"error":"..."} — and the connection (and daemon) stay up:
-// a bad request must never take the service down.
+// a bad request must never take the service down. That includes a line
+// longer than kMaxLineBytes: it is drained to its newline, never buffered
+// whole, and answered with an error.
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 #include "serve/server.hpp"
@@ -32,5 +35,34 @@ struct ProtocolResult {
 /// Execute one request line against the server. Never throws: every failure
 /// becomes an {"ok":false,...} response.
 ProtocolResult handleLine(JobServer& server, const std::string& line);
+
+/// Longest request line a session accepts, excluding its '\n'.
+inline constexpr std::size_t kMaxLineBytes = std::size_t(1) << 20;
+
+/// Splits the byte stream of a file descriptor into '\n'-terminated lines,
+/// holding at most kMaxLineBytes plus one read chunk of any line, and
+/// scanning each byte for the terminator once.
+class LineReader {
+ public:
+  enum class Status {
+    kLine,     ///< `line` holds the next line (a final unterminated one too)
+    kTooLong,  ///< a line over kMaxLineBytes was read and discarded
+    kEof,      ///< end of stream or read error, nothing pending
+  };
+
+  explicit LineReader(int fd) : fd_(fd) {}
+  Status next(std::string& line);
+
+ private:
+  int fd_;
+  std::string buffer_;
+  std::size_t scanned_ = 0;  ///< prefix of buffer_ known to hold no '\n'
+  bool discarding_ = false;  ///< inside an over-long line
+};
+
+/// Serve one session: answer every non-empty request line read from `inFd`
+/// with one response line on `outFd`. Returns true when a request asked the
+/// daemon to shut down, false at end of input or on a write error.
+bool serveSession(JobServer& server, int inFd, int outFd);
 
 }  // namespace anton::serve

@@ -3,12 +3,16 @@
 // FIFOs queue arbitrary messages, and multicast fans out along the
 // precomputed table entries.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <cstring>
 #include <numeric>
+#include <tuple>
 #include <vector>
 
 #include "net/machine.hpp"
+#include "net/probe.hpp"
 #include "sim/simulator.hpp"
 
 namespace anton::net {
@@ -369,6 +373,91 @@ TEST(Wait, BadCounterIdThrows) {
   NetworkClient& c = f.machine.client({0, kSlice0});
   EXPECT_THROW(c.waitCounter(-1, 1), std::out_of_range);
   EXPECT_THROW(c.waitCounter(c.numCounters(), 1), std::out_of_range);
+  EXPECT_THROW(c.counterValue(c.numCounters()), std::out_of_range);
+  EXPECT_THROW(c.counterWaiters(c.numCounters()), std::out_of_range);
+  EXPECT_THROW(c.counterValue(-1), std::out_of_range);
+  EXPECT_THROW(c.counterWaiters(-1), std::out_of_range);
+}
+
+// --- client state materializes on first touch --------------------------------
+
+TEST(FirstTouch, UntouchedCounterReadsZero) {
+  Fixture f;
+  NetworkClient& c = f.machine.client({3, kAccum1});
+  EXPECT_EQ(c.numCounters(), MachineConfig{}.countersPerClient);
+  for (int id : {0, 17, c.numCounters() - 1}) {
+    EXPECT_EQ(c.counterValue(id), 0u);
+    EXPECT_EQ(c.counterWaiters(id), 0u);
+    EXPECT_TRUE(c.counterSources(id).empty());
+    EXPECT_FALSE(c.cancelCounterWaiter(id, 1));
+  }
+}
+
+TEST(FirstTouch, GrowingTheCounterBankKeepsParkedWaiters) {
+  Fixture f;
+  NetworkClient& c = f.machine.client({1, kSlice0});
+  const int last = c.numCounters() - 1;
+  int woke = 0;
+  auto waiter = [](NetworkClient& cl, int& w) -> Task {
+    co_await cl.waitCounter(0, 1);
+    ++w;
+  };
+  f.sim.spawn(waiter(c, woke));
+  f.sim.run();
+  ASSERT_EQ(c.counterWaiters(0), 1u);
+
+  // The first bump of the highest id grows the bank past the parked waiter.
+  NetworkClient::SendArgs args;
+  args.dst = {1, kSlice0};
+  args.counterId = last;
+  f.machine.client({0, kSlice0}).post(args);
+  f.sim.run();
+  EXPECT_EQ(c.counterValue(last), 1u);
+  EXPECT_EQ(woke, 0);
+  EXPECT_EQ(c.counterWaiters(0), 1u);
+
+  args.counterId = 0;
+  f.machine.client({0, kSlice0}).post(args);
+  f.sim.run();
+  EXPECT_EQ(woke, 1);
+  EXPECT_EQ(c.counterWaiters(0), 0u);
+
+  f.machine.client({0, kSlice0}).post(args);
+  f.sim.run();
+  EXPECT_EQ(woke, 1);  // woken exactly once
+  EXPECT_EQ(c.counterValue(0), 2u);
+}
+
+// A one-hop probe on a full 8x8x8 machine commits exactly the one page of
+// client memory its payload lands in; every other page of the 3584 clients
+// stays unbacked.
+TEST(FirstTouch, OneHopProbeCommitsOnlyTheWrittenPage) {
+  sim::Simulator sim;
+  const util::TorusShape shape{8, 8, 8};
+  Machine m(sim, shape);
+  const ClientAddr src{0, kSlice0};
+  const ClientAddr dst{util::torusIndex({1, 0, 0}, shape), kSlice0};
+  EXPECT_GT(oneWayLatencyNs(m, src, dst, kMaxPayloadBytes), 162.0);
+
+  const std::size_t page = std::size_t(::sysconf(_SC_PAGESIZE));
+  std::vector<std::tuple<int, int, std::size_t>> resident;
+  std::vector<unsigned char> vec;
+  for (int n = 0; n < m.numNodes(); ++n) {
+    for (int c = 0; c < kClientsPerNode; ++c) {
+      std::span<const std::byte> mem = m.client({n, c}).memory();
+      // mincore wants a page-aligned start; count pages from the one
+      // holding the first byte.
+      const auto begin = reinterpret_cast<std::uintptr_t>(mem.data());
+      const std::uintptr_t first = begin - begin % page;
+      const std::size_t len = begin + mem.size() - first;
+      vec.assign((len + page - 1) / page, 0);
+      ASSERT_EQ(::mincore(reinterpret_cast<void*>(first), len, vec.data()), 0);
+      for (std::size_t i = 0; i < vec.size(); ++i)
+        if (vec[i] & 1) resident.emplace_back(n, c, i);
+    }
+  }
+  ASSERT_EQ(resident.size(), 1u);
+  EXPECT_EQ(resident[0], std::make_tuple(dst.node, dst.client, std::size_t{0}));
 }
 
 }  // namespace

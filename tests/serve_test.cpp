@@ -8,6 +8,9 @@
 // of the cache. CI also runs this binary under TSan; the server must be
 // race-free.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -119,6 +122,29 @@ TEST(Runner, CancelTokenStopsBetweenUnitsOfWork) {
   RunOutcome out = runJob(quickstartMdSpec(/*steps=*/5), arena, token);
   EXPECT_TRUE(out.cancelled);
   EXPECT_TRUE(out.resultJson.empty());
+}
+
+// The largest shape validateSpec admits runs with client state committed on
+// first touch: the job's own minor faults stay far below what zero-filling
+// every client's memory and counter bank up front would take (~1.9M).
+TEST(Runner, MaxShapeAllReduceFinishesWithinAFaultBound) {
+  JobSpec spec = table2AllReduceSpec({16, 16, 16});
+  ASSERT_TRUE(validateSpec(spec).empty());
+  RunOutcome out;
+  long minflt = -1;
+  std::thread job([&] {
+    rusage before{}, after{};
+    ::getrusage(RUSAGE_THREAD, &before);
+    sim::Simulator arena;
+    out = runJob(spec, arena);
+    ::getrusage(RUSAGE_THREAD, &after);
+    minflt = after.ru_minflt - before.ru_minflt;
+  });
+  job.join();
+  EXPECT_FALSE(out.cancelled);
+  EXPECT_FALSE(out.resultJson.empty());
+  EXPECT_GE(minflt, 0);
+  EXPECT_LT(minflt, 500000);
 }
 
 TEST(JobSpec, ShardingRoundTripsAndKeepsSerialBytesStable) {
@@ -418,6 +444,75 @@ TEST(Protocol, AdversariallyDeepJsonIsRejectedNotACrash) {
   ProtocolResult status = handleLine(server, "{\"op\":\"status\"}");
   json::Value st = json::parse(status.response, "status");
   EXPECT_TRUE(json::asBool(json::field(st, "ok", "s"), "ok"));
+  server.shutdown();
+}
+
+/// Both ends of a connected AF_UNIX stream pair, closed on scope exit.
+struct SocketPair {
+  int fd[2] = {-1, -1};
+  SocketPair() { EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fd), 0); }
+  ~SocketPair() {
+    for (int f : fd)
+      if (f >= 0) ::close(f);
+  }
+  void closeEnd(int i) {
+    ::close(fd[i]);
+    fd[i] = -1;
+  }
+};
+
+void writeAllOrFail(int fd, const std::string& data) {
+  std::size_t off = 0;
+  while (off < data.size()) {
+    ssize_t put = ::write(fd, data.data() + off, data.size() - off);
+    ASSERT_GT(put, 0);
+    off += std::size_t(put);
+  }
+}
+
+TEST(Protocol, LineReaderCapsLinesAtTheLimit) {
+  SocketPair sp;
+  const std::string atCap(kMaxLineBytes, 'a');
+  const std::string input = atCap + "\n" + std::string(kMaxLineBytes + 1, 'b') +
+                            "\nnext\n" + std::string(3 * kMaxLineBytes, 'c') +
+                            "\ntail";
+  std::thread writer([&] {
+    writeAllOrFail(sp.fd[0], input);
+    sp.closeEnd(0);
+  });
+  LineReader reader(sp.fd[1]);
+  std::string line;
+  EXPECT_EQ(reader.next(line), LineReader::Status::kLine);
+  EXPECT_EQ(line, atCap);
+  EXPECT_EQ(reader.next(line), LineReader::Status::kTooLong);
+  EXPECT_EQ(reader.next(line), LineReader::Status::kLine);
+  EXPECT_EQ(line, "next");
+  EXPECT_EQ(reader.next(line), LineReader::Status::kTooLong);
+  EXPECT_EQ(reader.next(line), LineReader::Status::kLine);
+  EXPECT_EQ(line, "tail");  // a final unterminated line still counts
+  EXPECT_EQ(reader.next(line), LineReader::Status::kEof);
+  writer.join();
+}
+
+TEST(Protocol, OverlongLineIsRejectedAndTheSessionKeepsServing) {
+  JobServer server({.workers = 1, .queueCapacity = 4});
+  SocketPair sp;
+  bool shutdown = false;
+  std::thread session(
+      [&] { shutdown = serveSession(server, sp.fd[1], sp.fd[1]); });
+  writeAllOrFail(sp.fd[0], std::string(2 << 20, 'x') +
+                               "\n{\"op\":\"status\"}\n{\"op\":\"shutdown\"}\n");
+  LineReader responses(sp.fd[0]);
+  std::string line;
+  std::vector<bool> ok;
+  while (ok.size() < 3 &&
+         responses.next(line) == LineReader::Status::kLine) {
+    json::Value resp = json::parse(line, "resp");
+    ok.push_back(json::asBool(json::field(resp, "ok", "r"), "ok"));
+  }
+  session.join();
+  EXPECT_EQ(ok, (std::vector<bool>{false, true, true}));
+  EXPECT_TRUE(shutdown);
   server.shutdown();
 }
 

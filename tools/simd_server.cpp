@@ -6,9 +6,10 @@
 //   --socket PATH   AF_UNIX stream listener, one thread per connection
 //   --stdio         stdin/stdout (single session; handy for tests and CI)
 //
-// Every request line gets exactly one response line. A malformed request
-// answers {"ok":false,...} and the daemon stays up; only {"op":"shutdown"}
-// (or EOF in --stdio mode) takes it down, after running jobs finish.
+// Every request line gets exactly one response line. A malformed request,
+// or one longer than serve::kMaxLineBytes, answers {"ok":false,...} and the
+// daemon stays up; only {"op":"shutdown"} (or EOF in --stdio mode) takes it
+// down, after running jobs finish.
 //
 // Usage:
 //   simd_server --socket /tmp/simd.sock [--workers N] [--queue N]
@@ -33,9 +34,8 @@
 
 namespace {
 
-using anton::serve::handleLine;
 using anton::serve::JobServer;
-using anton::serve::ProtocolResult;
+using anton::serve::serveSession;
 using anton::serve::ServerConfig;
 
 /// Thread-safe errno rendering (std::strerror is not).
@@ -47,46 +47,8 @@ struct UsageError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Pull one '\n'-terminated line out of fd, buffering leftovers between
-/// calls. Returns false on EOF/error with no pending data.
-bool readLine(int fd, std::string& buffer, std::string& line) {
-  for (;;) {
-    std::size_t nl = buffer.find('\n');
-    if (nl != std::string::npos) {
-      line = buffer.substr(0, nl);
-      buffer.erase(0, nl + 1);
-      return true;
-    }
-    char chunk[4096];
-    ssize_t got = ::read(fd, chunk, sizeof chunk);
-    if (got <= 0) {
-      if (buffer.empty()) return false;
-      line = buffer;  // final unterminated line
-      buffer.clear();
-      return true;
-    }
-    buffer.append(chunk, std::size_t(got));
-  }
-}
-
-bool writeAll(int fd, const std::string& data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    ssize_t put = ::write(fd, data.data() + off, data.size() - off);
-    if (put <= 0) return false;
-    off += std::size_t(put);
-  }
-  return true;
-}
-
 int runStdio(JobServer& server) {
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    if (line.empty()) continue;
-    ProtocolResult result = handleLine(server, line);
-    std::cout << result.response << "\n" << std::flush;
-    if (result.shutdown) break;
-  }
+  serveSession(server, STDIN_FILENO, STDOUT_FILENO);
   server.shutdown();
   return 0;
 }
@@ -125,18 +87,10 @@ int runSocket(JobServer& server, const std::string& path) {
       break;
     }
     sessions.emplace_back([&server, &stopping, listenFd, conn] {
-      std::string buffer;
-      std::string line;
-      while (readLine(conn, buffer, line)) {
-        if (line.empty()) continue;
-        ProtocolResult result = handleLine(server, line);
-        if (!writeAll(conn, result.response + "\n")) break;
-        if (result.shutdown) {
-          // Unblock the accept loop; the daemon drains and exits.
-          stopping.store(true);
-          ::shutdown(listenFd, SHUT_RDWR);
-          break;
-        }
+      if (serveSession(server, conn, conn)) {
+        // Unblock the accept loop; the daemon drains and exits.
+        stopping.store(true);
+        ::shutdown(listenFd, SHUT_RDWR);
       }
       ::close(conn);
     });
