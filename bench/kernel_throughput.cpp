@@ -19,17 +19,18 @@
 // hot. Self-checks (exit 1): both schedule digests must equal their pins,
 // and the ping steady state must make ZERO allocations.
 //
-// A second axis measures the sharded parallel kernel: the Fig. 5 ping and
-// quickstart-MD shapes run serial-vs-sharded (slab-x layout from the
-// topology bound, worker threads on) and the sharded schedule digest must
-// equal the serial one — same bit-identity contract determinism_test
-// gates, priced here in wall-clock.
+// A second axis measures the sharded parallel kernel: the Fig. 5 ping,
+// quickstart-MD and Table-3 MD (8x8x8, 23,558 atoms, 4 workers) shapes run
+// serial-vs-sharded (slab-x layout from the torus, worker threads on) and
+// the sharded schedule digest must equal the serial one — same
+// bit-identity contract determinism_test gates, priced here in wall-clock.
 //
 // Gated metrics (tools/check_perf_trajectory.py):
 //   ping_zero_alloc_steady     1.0 = no allocation in the measured window
 //   schedule_match             1.0 = ping and all-reduce digests equal
 //                              their committed constants
 //   sharded_schedule_match     1.0 = sharded == serial schedule digests
+//                              (ping, quickstart-MD and Table-3 MD)
 // Raw events/sec, packets/sec, allocs/event and the sharded speedups are
 // host-dependent and recorded informationally (measured against
 // themselves).
@@ -46,7 +47,6 @@
 #include "util/json.hpp"
 #include "util/torus_coord.hpp"
 #include "verify/lookahead.hpp"
-#include "verify/shard_contract.hpp"
 
 namespace {
 // Every operator new since process start. Atomic: the sharded kernel's
@@ -133,12 +133,15 @@ constexpr std::uint64_t kAllReduceScheduleDigest = 0xc001edce764d6e63ULL;
 
 /// Worker-thread count for the sharded runs (matches the serve runner).
 constexpr int kShardWorkers = 3;
+/// Worker-thread count for the Table-3 MD run: the shape the sharded kernel
+/// was kept for, measured with 4 workers.
+constexpr int kTable3Workers = 4;
 
-/// slab-x layout over `shape` from the plan-free topology bound — the same
-/// construction the sharded determinism tests use.
+/// slab-x layout over `shape` from the torus — the same construction the
+/// serve runner and the sharded determinism tests use.
 sim::ShardLayout slabLayout(util::TorusShape shape) {
-  return anton::verify::shardLayoutFromTopology(
-      shape, anton::verify::slabSharding(shape));
+  return anton::verify::shardLayout(shape,
+                                    anton::verify::slabSharding(shape));
 }
 
 /// Fig. 5-shaped ping: counted 256 B remote writes to x-neighbors 1-4 hops
@@ -176,27 +179,50 @@ RunStats runPing(int warmup, int iters,
   return out;
 }
 
-/// The quickstart-MD shape (4x4x4 torus, 1536 synthetic atoms): `warmup`
-/// supersteps to heat pools, `steps` measured ones. Recovery stays
-/// disarmed in both modes so serial and sharded run the identical
-/// configuration (the drop registry is the one cross-shard mutable fault
-/// object the sharded kernel refuses).
-RunStats runMd(bool sharded, int warmup, int steps) {
-  sim::Simulator sim;
-  net::Machine m(sim, {4, 4, 4});
-  anton::md::SyntheticSystemParams sp;
-  sp.targetAtoms = 1536;
-  sp.seed = 2010;
+/// An MD shape for the sharded axis. Recovery stays disarmed (the
+/// AntonMdConfig default) in both modes so serial and sharded run the
+/// identical configuration (the drop registry is the one cross-shard
+/// mutable fault object the sharded kernel refuses).
+struct MdWorkload {
+  util::TorusShape shape;
+  int atoms = 0;
   anton::md::AntonMdConfig cfg;
-  cfg.force.cutoff = 2.2;
-  cfg.ewald.grid = 16;
-  cfg.homeBoxMarginFrac = 0.10;
-  anton::md::AntonMdApp app(m, anton::md::buildSyntheticSystem(sp), cfg);
-  sim::ShardLayout layout;
-  if (sharded) {
-    layout = slabLayout(m.shape());
-    sim.enableSharded(layout, kShardWorkers);
-  }
+};
+
+/// The quickstart-MD shape: 4x4x4 torus, 1536 synthetic atoms.
+MdWorkload quickstartMd() {
+  MdWorkload w{{4, 4, 4}, 1536, {}};
+  w.cfg.force.cutoff = 2.2;
+  w.cfg.ewald.grid = 16;
+  w.cfg.homeBoxMarginFrac = 0.10;
+  return w;
+}
+
+/// The Table-3 MD step: 8x8x8 torus, 23,558 atoms, table3_comm_time's
+/// full-size configuration.
+MdWorkload table3Md() {
+  MdWorkload w{{8, 8, 8}, 23558, {}};
+  w.cfg.force.cutoff = 2.6;
+  w.cfg.ewald.grid = 32;
+  w.cfg.thermostatTau = 0.05;
+  w.cfg.thermostatInterval = 2;
+  w.cfg.longRangeInterval = 2;
+  w.cfg.migrationInterval = 100;
+  w.cfg.homeBoxMarginFrac = 0.08;
+  return w;
+}
+
+/// `warmup` supersteps to heat pools, then `steps` measured ones; sharded
+/// runs use the slab-x layout with `workers` threads.
+RunStats runMd(const MdWorkload& w, bool sharded, int workers, int warmup,
+               int steps) {
+  sim::Simulator sim;
+  net::Machine m(sim, w.shape);
+  anton::md::SyntheticSystemParams sp;
+  sp.targetAtoms = w.atoms;
+  sp.seed = 2010;
+  anton::md::AntonMdApp app(m, anton::md::buildSyntheticSystem(sp), w.cfg);
+  if (sharded) sim.enableSharded(slabLayout(m.shape()), workers);
   app.runSteps(warmup);
 
   RunStats out;
@@ -281,6 +307,7 @@ int main() {
   constexpr int kShardReps = 3;
   constexpr int kShardPingWarmup = 100, kShardPingIters = 2000;
   constexpr int kMdWarmup = 1, kMdSteps = 2;
+  constexpr int kTable3Warmup = 1, kTable3Steps = 1;
 
   RunStats ping = runPing(kPingWarmup, kPingIters);
   RunStats ar = runAllReduce(kArWarmup, kArRounds);
@@ -293,16 +320,23 @@ int main() {
                        sharded ? &pingLayout : nullptr);
       });
   auto [mdSerial, mdSharded] = bestOfPaired(kShardReps, [&](bool sharded) {
-    return runMd(sharded, kMdWarmup, kMdSteps);
+    return runMd(quickstartMd(), sharded, kShardWorkers, kMdWarmup, kMdSteps);
+  });
+  // One pair only: a Table-3 step is seconds of host time per side.
+  auto [t3Serial, t3Sharded] = bestOfPaired(1, [&](bool sharded) {
+    return runMd(table3Md(), sharded, kTable3Workers, kTable3Warmup,
+                 kTable3Steps);
   });
 
   double pingShardedSpeedup =
       pingSharded.eventsPerSec() / pingSerial.eventsPerSec();
   double mdShardedSpeedup = mdSharded.eventsPerSec() / mdSerial.eventsPerSec();
+  double t3ShardedSpeedup = t3Sharded.eventsPerSec() / t3Serial.eventsPerSec();
   bool schedulesMatch = ping.digest == kPingScheduleDigest &&
                         ar.digest == kAllReduceScheduleDigest;
   bool shardedMatch = pingSerial.digest == pingSharded.digest &&
-                      mdSerial.digest == mdSharded.digest;
+                      mdSerial.digest == mdSharded.digest &&
+                      t3Serial.digest == t3Sharded.digest;
   bool pingZeroAlloc = ping.allocs == 0;
   double arAllocsPerEvent = double(ar.allocs) / double(ar.events);
 
@@ -320,11 +354,16 @@ int main() {
   row("ping 8x8x8 (short)", "sharded", pingSharded);
   row("quickstart-md 4x4x4", "serial", mdSerial);
   row("quickstart-md 4x4x4", "sharded", mdSharded);
+  row("table3-md 8x8x8", "serial", t3Serial);
+  row("table3-md 8x8x8", "sharded", t3Sharded);
   table.print(std::cout);
   std::cout << "sharded (slab-x, " << kShardWorkers
             << " workers) vs serial: ping "
             << util::TablePrinter::num(pingShardedSpeedup, 2) << "x   md "
-            << util::TablePrinter::num(mdShardedSpeedup, 2) << "x\n";
+            << util::TablePrinter::num(mdShardedSpeedup, 2) << "x\n"
+            << "sharded (slab-x, " << kTable3Workers
+            << " workers) vs serial: table3-md "
+            << util::TablePrinter::num(t3ShardedSpeedup, 2) << "x\n";
 
   bench::JsonReporter json("kernel");
   // Gates: the boolean invariants gate on exact 1.0.
@@ -348,6 +387,8 @@ int main() {
   json.record("ping_sharded_speedup", pingShardedSpeedup, pingShardedSpeedup,
               "x");
   json.record("md_sharded_speedup", mdShardedSpeedup, mdShardedSpeedup, "x");
+  json.record("md_table3_sharded_speedup", t3ShardedSpeedup, t3ShardedSpeedup,
+              "x");
 
   bool ok = schedulesMatch && pingZeroAlloc && shardedMatch;
   if (!schedulesMatch)

@@ -148,8 +148,10 @@ std::vector<std::string> validateSpec(const JobSpec& s) {
   if (!std::isfinite(s.recoveryBackoffUs) || s.recoveryBackoffUs < 0.0)
     err("recoveryBackoffUs must be finite and >= 0");
   if (!s.sharding.empty()) {
-    if (s.sharding != "per-node" && s.sharding != "slab-x")
-      err("sharding must be \"\", \"per-node\" or \"slab-x\"");
+    if (s.sharding != "slab-x")
+      err("sharding must be \"\" or \"slab-x\"");
+    else if (s.shape.nx < 2)
+      err("sharding \"slab-x\" needs shape nx >= 2 (one shard per x-slab)");
     if (s.family != JobFamily::kQuickstartMd &&
         s.family != JobFamily::kTable2AllReduce)
       err("sharding is only supported for quickstart-md and "

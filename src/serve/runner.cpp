@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include <cstdio>
-
 #include "core/allreduce.hpp"
 #include "core/recovery.hpp"
 #include "fault/plan.hpp"
@@ -16,7 +14,6 @@
 #include "plan_registry.hpp"
 #include "util/json.hpp"
 #include "verify/lookahead.hpp"
-#include "verify/shard_contract.hpp"
 #include "verify/snapshot.hpp"
 
 namespace anton::serve {
@@ -55,30 +52,16 @@ md::AntonMdConfig mdConfigFor(const JobSpec& spec) {
 /// each job's crew stays small.
 constexpr int kShardWorkers = 3;
 
-/// Prove spec.sharding against the job's comm plan with the live lookahead
-/// analyzer and enable the sharded kernel. Returns true when sharded; on
-/// analyzer rejection (or any sharding construction failure) logs the
-/// diagnostic and leaves the kernel serial — the job result is bit-identical
-/// either way, so falling back is always sound.
+/// Enable the sharded kernel when the job asked for it. validateSpec admits
+/// only "slab-x" over shapes at least two nodes wide in x, whose layout
+/// always builds; anything else throws and fails the job. Returns whether
+/// the job runs sharded.
 bool enableShardingFor(const JobSpec& spec, sim::Simulator& arena) {
   if (spec.sharding.empty()) return false;
-  try {
-    verify::Sharding sharding = spec.sharding == "per-node"
-                                    ? verify::perNodeSharding(spec.shape)
-                                    : verify::slabSharding(spec.shape);
-    verify::LookaheadReport report =
-        verify::analyzeLookahead(planForSpec(spec), sharding);
-    arena.enableSharded(
-        verify::shardLayoutFromReport(report, spec.shape, sharding),
-        kShardWorkers);
-    return true;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr,
-                 "serve: sharding \"%s\" refused for %s job, running "
-                 "serial: %s\n",
-                 spec.sharding.c_str(), familyName(spec.family), e.what());
-    return false;
-  }
+  arena.enableSharded(
+      verify::shardLayout(spec.shape, verify::slabSharding(spec.shape)),
+      kShardWorkers);
+  return true;
 }
 
 core::RecoveryHooks recoveryHooksFor(const JobSpec& spec,
@@ -149,7 +132,7 @@ RunOutcome runQuickstartMd(const JobSpec& spec, sim::Simulator& arena,
   if (sharded) arena.disableSharded();
 
   std::map<std::string, double> m;
-  if (!spec.sharding.empty()) m["sharded"] = sharded ? 1.0 : 0.0;
+  if (sharded) m["sharded"] = 1.0;
   m["steps_done"] = double(app.stepsDone());
   double total = 0.0;
   for (const md::StepTiming& t : app.stepTimings()) total += t.totalUs;
@@ -257,7 +240,7 @@ RunOutcome runTable2AllReduce(const JobSpec& spec, sim::Simulator& arena,
   m["nodes"] = double(n);
   m["words"] = double(spec.words);
   m["correct"] = correct ? 1.0 : 0.0;
-  if (!spec.sharding.empty()) m["sharded"] = sharded ? 1.0 : 0.0;
+  if (sharded) m["sharded"] = 1.0;
   return finish(spec, std::move(m));
 }
 

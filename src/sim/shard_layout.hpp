@@ -1,20 +1,16 @@
 // Sharding description consumed by the parallel (sharded) event kernel.
 //
-// A ShardLayout is pure data: which shard owns each machine node, the global
-// conservative run-ahead budget, and the per-shard-pair channel lookahead
-// bounds. It deliberately knows nothing about how those numbers were proven —
-// verify/shard_contract.{hpp,cpp} builds layouts from a live
-// verify::analyzeLookahead() report or from the committed
-// tests/golden_plans/VERIFY_lookahead.json contract, and refuses any sharding
-// the analyzer rejects. Keeping the kernel's input data-only preserves the
-// layering: src/sim never depends on src/verify.
+// A ShardLayout is pure data: which shard owns each machine node and the
+// per-shard-pair channel lookahead bounds. It deliberately knows nothing
+// about how those numbers were derived — verify::shardLayout() (in
+// verify/lookahead.hpp) builds one from the torus topology and refuses a
+// sharding that splits a node. Keeping the kernel's input data-only
+// preserves the layering: src/sim never depends on src/verify.
 //
-// Field mapping from the lookahead report (DESIGN.md §13):
-//   safeLookaheadNs  -> the global synchronization-window width (every shard
-//                       may run ahead of the global minimum by this much)
-//   pairs[].linkBoundNs -> pairBoundPs: the per-channel lookahead every
-//                       cross-shard message is checked against at delivery
-//   conflictDegree   -> sizing hint for per-shard neighbor mailboxes
+// The synchronization-window width is the minimum pair bound
+// (lookaheadPs()): every cross-shard message pays at least one boundary
+// crossing, so no shard can receive an event earlier than that past the
+// global minimum (DESIGN.md §13).
 #pragma once
 
 #include <algorithm>
@@ -31,18 +27,13 @@ namespace anton::sim {
 
 struct ShardLayout {
   std::string name;  ///< sharding family, e.g. "per-node", "slab-x"
-  std::string plan;  ///< plan the lookahead budget was proven for
   int numShards = 1;
   /// Node linear index -> owning shard. Every node a Machine will route
   /// through must be covered.
   std::vector<int> shardOfNode;
-  /// Global conservative run-ahead budget (lookahead report safeLookaheadNs).
-  double safeLookaheadNs = 0.0;
-  /// Conflict-graph degree from the report (mailbox sizing hint).
-  int conflictDegree = 0;
-  /// Channel lookahead per adjacent shard pair (a < b), in picoseconds:
-  /// verify::shardPairBounds over the full topology, NOT just the pairs that
-  /// carry plan edges — adaptive routing may cross any adjacent boundary.
+  /// Channel lookahead per shard pair (a < b), in picoseconds:
+  /// verify::shardPairBounds over the full topology — adaptive routing may
+  /// cross any adjacent boundary, whether or not a plan puts traffic on it.
   std::map<std::pair<int, int>, Time> pairBoundPs;
 
   int shardOf(int node) const {
@@ -52,22 +43,19 @@ struct ShardLayout {
     return shardOfNode[std::size_t(node)];
   }
 
-  Time safeLookaheadPs() const { return ns(safeLookaheadNs); }
-
-  /// Channel bound for an (unordered) shard pair; -1 when the pair is not
-  /// adjacent — a live message between such shards violates the contract.
+  /// Channel bound for an (unordered) shard pair; -1 when the pair has no
+  /// bound — a live message between such shards violates the layout.
   Time pairBound(int a, int b) const {
     if (a > b) std::swap(a, b);
     auto it = pairBoundPs.find({a, b});
     return it == pairBoundPs.end() ? Time(-1) : it->second;
   }
 
-  /// The budget the kernel actually runs with: the proven global cap clamped
-  /// by every adjacent pair's channel bound. The report's safeLookaheadNs is
-  /// derived from boundaries carrying plan edges; adaptively routed traffic
-  /// can cross edgeless boundaries too, so the kernel must not outrun those.
-  Time effectiveLookaheadPs() const {
-    Time cap = safeLookaheadPs();
+  /// The run-ahead budget: the minimum pair bound (0 without any pair, which
+  /// the kernel refuses).
+  Time lookaheadPs() const {
+    if (pairBoundPs.empty()) return 0;
+    Time cap = pairBoundPs.begin()->second;
     for (const auto& [pair, bound] : pairBoundPs) cap = std::min(cap, bound);
     return cap;
   }

@@ -311,12 +311,12 @@ void Simulator::enableSharded(ShardLayout layout, int workers) {
     if (s < 0 || s >= layout.numShards)
       throw std::invalid_argument(
           "Simulator::enableSharded: node mapped outside [0, numShards)");
-  Time cap = layout.effectiveLookaheadPs();
+  Time cap = layout.lookaheadPs();
   if (cap <= 0)
     throw std::invalid_argument(
         "Simulator::enableSharded: sharding '" + layout.name +
-        "' has a non-positive effective lookahead budget; a conservative "
-        "kernel cannot run ahead at all (see lookahead.zero in the contract)");
+        "' has a non-positive lookahead budget; a conservative kernel "
+        "cannot run ahead at all (see lookahead.zero)");
 
   layout_ = std::move(layout);
   lookaheadPs_ = cap;

@@ -17,8 +17,8 @@
 // Sharded mode (enableSharded, DESIGN.md §13): the event set is partitioned
 // by machine node into per-shard event queues that execute in lockstep
 // synchronization windows. Each window runs every shard up to
-// globalMin + safeLookahead (the committed budget from the lookahead
-// contract, VERIFY_lookahead.json) with no null messages; cross-shard
+// globalMin + lookahead (the layout's minimum shard-pair bound: one link
+// crossing on the torus) with no null messages; cross-shard
 // messages travel through per-shard outboxes and are delivered at the
 // window barrier, where each is checked against its shard pair's channel
 // lookahead bound. Events scheduled inside a window carry provisional
@@ -214,10 +214,10 @@ class Simulator {
 
   // --- sharded (conservative-PDES) mode ------------------------------------
 
-  /// Enter sharded mode. `layout` must come from a sharding the lookahead
-  /// analyzer accepted (verify/shard_contract.hpp refuses rejected ones with
-  /// a diagnostic naming the violation); enableSharded() additionally
-  /// refuses any layout whose effective lookahead budget is not positive.
+  /// Enter sharded mode. `layout` normally comes from verify::shardLayout(),
+  /// which refuses a sharding that splits a node (naming lookahead.zero);
+  /// enableSharded() additionally refuses any layout whose lookahead budget
+  /// is not positive.
   /// `workers` worker threads execute shard windows (0 = the main thread
   /// iterates shards in index order — same windows, same barriers, same
   /// results, no concurrency). Throws if sharded mode is already on or if
@@ -419,7 +419,7 @@ class Simulator {
   // --- sharded state (empty/idle in serial mode) ---
   bool sharded_ = false;
   ShardLayout layout_;
-  Time lookaheadPs_ = 0;  ///< effective global run-ahead budget
+  Time lookaheadPs_ = 0;  ///< global run-ahead budget (layout_.lookaheadPs())
   std::vector<Shard> shards_;
   std::vector<ShardParticipant*> participants_;
   CausalLog* mainLog_ = nullptr;  ///< oracle attached for the running window

@@ -4,6 +4,7 @@
 #include <limits>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "net/packet.hpp"
@@ -180,6 +181,32 @@ std::map<std::pair<int, int>, ShardPairStat> shardPairBounds(
         }
     }
   return pairs;
+}
+
+sim::ShardLayout shardLayout(const util::TorusShape& shape,
+                             const Sharding& sharding,
+                             const net::LatencyConfig& lat) {
+  sim::ShardLayout layout;
+  layout.name = sharding.name;
+  layout.numShards = sharding.numShards;
+  layout.shardOfNode.resize(std::size_t(shape.size()));
+  for (int n = 0; n < shape.size(); ++n)
+    layout.shardOfNode[std::size_t(n)] = sharding.shardOfNode(n);
+  for (const auto& [pair, stat] : shardPairBounds(shape, sharding, lat)) {
+    sim::Time bound = sim::ns(stat.linkBoundNs);
+    if (bound <= 0)
+      throw std::runtime_error(
+          "sharding '" + sharding.name + "' refused [lookahead.zero]: shards " +
+          std::to_string(pair.first) + " and " + std::to_string(pair.second) +
+          " share a zero-latency boundary (a node's clients are split "
+          "across them)");
+    layout.pairBoundPs[pair] = bound;
+  }
+  if (layout.pairBoundPs.empty() && layout.numShards > 1)
+    throw std::runtime_error(
+        "sharding '" + sharding.name +
+        "' produced no adjacent shard pairs over this shape");
+  return layout;
 }
 
 LookaheadReport analyzeLookahead(const CommPlan& plan, const Sharding& sharding,

@@ -10,8 +10,10 @@
 // minLinkCrossingNs). This analyzer proves, per CommPlan and sharding,
 // which of the plan's happens-before edges cross shards and that each one
 // carries at least the shard pair's claimed lookahead — before a single
-// thread exists. Its report (VERIFY_lookahead.json) is the safety contract
-// the future parallel-kernel PR consumes.
+// thread exists. Its report (VERIFY_lookahead.json) is the static proof the
+// sharded kernel's topology budget is tested against: shardLayout() below
+// builds the kernel's layout from the torus alone, and its budget never
+// exceeds what this analyzer proves for any shipped plan (sharded_test).
 //
 // Diagnostics (Violation::check):
 //   "lookahead.zero"     — a cross-shard happens-before edge with zero
@@ -38,6 +40,7 @@
 
 #include "net/latency.hpp"
 #include "sim/causal_log.hpp"
+#include "sim/shard_layout.hpp"
 #include "util/torus_coord.hpp"
 #include "verify/checks.hpp"
 #include "verify/plan.hpp"
@@ -125,6 +128,15 @@ struct LookaheadReport {
 std::map<std::pair<int, int>, ShardPairStat> shardPairBounds(
     const util::TorusShape& shape, const Sharding& sharding,
     const net::LatencyConfig& lat);
+
+/// The sharded kernel's layout for `sharding` over `shape`: the node->shard
+/// map plus every pair's shardPairBounds() bound; its budget is the minimum
+/// pair bound, sound for any workload on the sharding. Throws
+/// std::runtime_error naming lookahead.zero when a node's clients are split
+/// across shards, and when a multi-shard sharding has no shard pairs.
+sim::ShardLayout shardLayout(const util::TorusShape& shape,
+                             const Sharding& sharding,
+                             const net::LatencyConfig& lat = {});
 
 /// Statically prove (or refute) `sharding` over the plan's happens-before
 /// event graph. `rounds` template rounds are unrolled so round-wrap edges

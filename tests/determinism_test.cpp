@@ -19,7 +19,6 @@
 #include "trace/activity.hpp"
 #include "util/json.hpp"
 #include "verify/lookahead.hpp"
-#include "verify/shard_contract.hpp"
 
 namespace anton {
 namespace {
@@ -348,8 +347,7 @@ MdShardedResult mdRun(const std::string& shardingName, int workers) {
     verify::Sharding sharding = shardingName == "per-node"
                                     ? verify::perNodeSharding(shape)
                                     : verify::slabSharding(shape);
-    sim.enableSharded(verify::shardLayoutFromTopology(shape, sharding),
-                      workers);
+    sim.enableSharded(verify::shardLayout(shape, sharding), workers);
   }
   app.runSteps(3);
   MdShardedResult r;

@@ -152,8 +152,8 @@ TEST(JobSpec, ShardingRoundTripsAndKeepsSerialBytesStable) {
   // Serial specs must serialize exactly as before the sharding field
   // existed (cache keys of cached results stay valid).
   EXPECT_EQ(specToJson(spec).find("sharding"), std::string::npos);
-  spec.sharding = "per-node";
-  EXPECT_NE(specToJson(spec).find("\"sharding\":\"per-node\""),
+  spec.sharding = "slab-x";
+  EXPECT_NE(specToJson(spec).find("\"sharding\":\"slab-x\""),
             std::string::npos);
   JobSpec back = specFromJson(specToJson(spec));
   EXPECT_EQ(back, spec);
@@ -163,15 +163,38 @@ TEST(JobSpec, ShardingRoundTripsAndKeepsSerialBytesStable) {
   bad.sharding = "checkerboard";
   EXPECT_FALSE(validateSpec(bad).empty());
   bad = fig5PingSpec();
-  bad.sharding = "per-node";
+  bad.sharding = "slab-x";
   EXPECT_FALSE(validateSpec(bad).empty());
   bad = faultSweepSpec({2, 2, 2}, 1e-5);
   bad.sharding = "slab-x";
   EXPECT_FALSE(validateSpec(bad).empty());
   bad = quickstartMdSpec();
-  bad.sharding = "per-node";
+  bad.sharding = "slab-x";
   bad.degradedMode = true;
   EXPECT_FALSE(validateSpec(bad).empty());
+}
+
+TEST(JobSpec, ShardingAcceptsOnlySlabXOverTwoOrMoreXSlabs) {
+  auto rejectsNamingSlabX = [](const JobSpec& spec) {
+    std::vector<std::string> errs = validateSpec(spec);
+    ASSERT_EQ(errs.size(), 1u) << specToJson(spec);
+    EXPECT_NE(errs[0].find("slab-x"), std::string::npos) << errs[0];
+  };
+  // The finer per-node layout is not a serve option: slab-x beat it on
+  // every measured shape.
+  JobSpec perNode = quickstartMdSpec();
+  perNode.sharding = "per-node";
+  rejectsNamingSlabX(perNode);
+  // One x-slab is one shard: no boundary, so no lookahead budget. Such a
+  // job is refused at submit rather than silently run serial.
+  for (util::TorusShape shape :
+       {util::TorusShape{1, 4, 4}, util::TorusShape{1, 1, 1}}) {
+    JobSpec thin = table2AllReduceSpec(shape, /*words=*/4);
+    thin.sharding = "slab-x";
+    rejectsNamingSlabX(thin);
+    thin.shape.nx = 2;
+    EXPECT_TRUE(validateSpec(thin).empty()) << specToJson(thin);
+  }
 }
 
 TEST(Runner, ShardedQuickstartMdIsBitIdenticalToSerial) {
@@ -181,10 +204,10 @@ TEST(Runner, ShardedQuickstartMdIsBitIdenticalToSerial) {
   sim::Simulator arena;
   JobSpec spec = quickstartMdSpec(/*steps=*/2);
   RunOutcome serial = runJob(spec, arena);
-  spec.sharding = "per-node";
+  spec.sharding = "slab-x";
   RunOutcome sharded = runJob(spec, arena);
 
-  EXPECT_EQ(sharded.metrics.at("sharded"), 1.0) << "fell back to serial";
+  EXPECT_EQ(sharded.metrics.at("sharded"), 1.0);
   for (const char* key : {"steps_done", "mean_step_us", "last_step_us",
                           "sim_us", "migrated_total"})
     EXPECT_EQ(serial.metrics.at(key), sharded.metrics.at(key)) << key;
@@ -203,7 +226,7 @@ TEST(Runner, ShardedAllReduceMatchesSerialTiming) {
   RunOutcome serial = runJob(spec, arena);
   spec.sharding = "slab-x";
   RunOutcome sharded = runJob(spec, arena);
-  EXPECT_EQ(sharded.metrics.at("sharded"), 1.0) << "fell back to serial";
+  EXPECT_EQ(sharded.metrics.at("sharded"), 1.0);
   EXPECT_EQ(sharded.metrics.at("correct"), 1.0);
   EXPECT_EQ(serial.metrics.at("allreduce_us"),
             sharded.metrics.at("allreduce_us"));

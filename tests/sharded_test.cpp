@@ -1,29 +1,27 @@
 // Sharded (conservative-PDES) kernel: bit-identity against the serial
-// kernel, the lookahead contract's refusal edges, and the window protocol's
-// failure modes.
+// kernel, the layout's refusal edges, the window protocol's failure modes,
+// and the topology budget held against the static lookahead proof.
 //
-// The headline claim (ISSUE 10 / DESIGN.md §13): a sharded run is
-// bit-identical to a serial one — same MachineStats, same client memories
-// and counters, same final clock, same activity-trace CSV, same causal-log
-// digest — because the window barrier replays each window's execution order
-// and hands out exactly the sequence numbers the serial kernel would have
-// issued. Everything here pins that equivalence, plus the "refuse loudly"
-// edges: analyzer-rejected shardings, non-positive budgets, and messages
-// faster than their pair's channel bound.
+// The headline claim (DESIGN.md §13): a sharded run is bit-identical to a
+// serial one — same MachineStats, same client memories and counters, same
+// final clock, same activity-trace CSV, same causal-log digest — because
+// the window barrier replays each window's execution order and hands out
+// exactly the sequence numbers the serial kernel would have issued.
+// Everything here pins that equivalence, plus the "refuse loudly" edges:
+// node-splitting shardings, non-positive budgets, and messages faster than
+// their pair's channel bound.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <stdexcept>
 #include <string>
 
 #include "net/machine.hpp"
+#include "plan_registry.hpp"
 #include "sim/causal_log.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "trace/activity.hpp"
 #include "verify/lookahead.hpp"
-#include "verify/shard_contract.hpp"
 
 namespace anton {
 namespace {
@@ -75,7 +73,7 @@ StormResult trafficStorm(std::uint64_t seed, const std::string& shardingName,
     verify::Sharding sh = shardingName == "per-node"
                               ? verify::perNodeSharding(shape)
                               : verify::slabSharding(shape);
-    sim.enableSharded(verify::shardLayoutFromTopology(shape, sh), workers);
+    sim.enableSharded(verify::shardLayout(shape, sh), workers);
   }
   sim::Rng rng(seed);
   for (int i = 0; i < 400; ++i) {
@@ -140,46 +138,10 @@ TEST(ShardedKernel, SplitNodeShardingIsRefusedNamingTheViolation) {
   util::TorusShape shape{2, 2, 2};
   verify::Sharding split = verify::splitNodeSharding(shape);
   try {
-    verify::shardLayoutFromTopology(shape, split);
+    verify::shardLayout(shape, split);
     FAIL() << "split-node sharding must be refused";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("lookahead.zero"), std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(ShardedKernel, AnalyzerRejectionIsRefusedAtLayoutConstruction) {
-  // A counted write into an accumulation memory: under the split-node
-  // sharding the receiving node's program order becomes a zero-latency
-  // cross-shard edge, which the analyzer rejects. The layout builder must
-  // surface the analyzer's own check id, not a generic error.
-  util::TorusShape shape{2, 1, 1};
-  verify::CommPlan plan;
-  plan.name = "refusal-probe";
-  plan.shape = shape;
-  plan.addPhaseEdge("send", "recv");
-  verify::PlannedWrite w;
-  w.phase = "send";
-  w.srcNode = 0;
-  w.dst = {1, net::kAccum0};
-  w.counterId = 0;
-  plan.writes.push_back(w);
-  verify::CounterExpectation e;
-  e.site = "recv";
-  e.phase = "recv";
-  e.client = {1, net::kAccum0};
-  e.counterId = 0;
-  e.perRound = 1;
-  e.recoveryArmed = true;
-  plan.expectations.push_back(e);
-  verify::Sharding split = verify::splitNodeSharding(shape);
-  verify::LookaheadReport report = verify::analyzeLookahead(plan, split);
-  EXPECT_FALSE(report.ok());
-  try {
-    verify::shardLayoutFromReport(report, shape, split);
-    FAIL() << "rejected report must not produce a layout";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("lookahead."), std::string::npos)
         << e.what();
   }
 }
@@ -190,7 +152,6 @@ TEST(ShardedKernel, KernelRefusesNonPositiveLookaheadBudget) {
   layout.name = "hand-rolled";
   layout.numShards = 2;
   layout.shardOfNode = {0, 1};
-  layout.safeLookaheadNs = 53.0;
   layout.pairBoundPs[{0, 1}] = 0;  // a zero channel bound poisons the budget
   EXPECT_THROW(sim.enableSharded(layout), std::invalid_argument);
   EXPECT_FALSE(sim.shardedEnabled());
@@ -200,7 +161,7 @@ TEST(ShardedKernel, StepIsRefusedUnderShardedMode) {
   util::TorusShape shape{2, 2, 2};
   sim::Simulator sim;
   sim.enableSharded(
-      verify::shardLayoutFromTopology(shape, verify::perNodeSharding(shape)));
+      verify::shardLayout(shape, verify::perNodeSharding(shape)));
   EXPECT_THROW(sim.step(), std::logic_error);
   sim.disableSharded();
   EXPECT_FALSE(sim.step());  // serial again, idle
@@ -211,7 +172,7 @@ TEST(ShardedKernel, DisableWithPendingShardEventsThrows) {
   sim::Simulator sim;
   net::Machine m(sim, shape);
   sim.enableSharded(
-      verify::shardLayoutFromTopology(shape, verify::perNodeSharding(shape)));
+      verify::shardLayout(shape, verify::perNodeSharding(shape)));
   net::NetworkClient::SendArgs args;
   args.dst = {5, 0};
   args.counterId = 0;
@@ -227,7 +188,7 @@ TEST(ShardedKernel, ResetTearsShardedModeDown) {
   sim::Simulator sim;
   net::Machine m(sim, shape);
   sim.enableSharded(
-      verify::shardLayoutFromTopology(shape, verify::perNodeSharding(shape)),
+      verify::shardLayout(shape, verify::perNodeSharding(shape)),
       2);
   net::NetworkClient::SendArgs args;
   args.dst = {5, 0};
@@ -257,102 +218,36 @@ TEST(ShardedKernel, MachineRefusesShardingWithAFaultModelInstalled) {
   } faults;
   m.setFaultModel(&faults);
   EXPECT_THROW(
-      sim.enableSharded(verify::shardLayoutFromTopology(
+      sim.enableSharded(verify::shardLayout(
           shape, verify::perNodeSharding(shape))),
       std::logic_error);
   // The refusal rolled sharded mode back entirely.
   EXPECT_FALSE(sim.shardedEnabled());
   m.setFaultModel(nullptr);
   sim.enableSharded(
-      verify::shardLayoutFromTopology(shape, verify::perNodeSharding(shape)));
+      verify::shardLayout(shape, verify::perNodeSharding(shape)));
   EXPECT_THROW(m.setFaultModel(&faults), std::logic_error);
   sim.disableSharded();
 }
 
-// --- the committed contract file -------------------------------------------
+// --- the topology budget against the static proof ---------------------------
 
-TEST(LookaheadContract, CommittedContractRowsDriveLayouts) {
-  auto rows = verify::loadLookaheadContract(
-      std::string(GOLDEN_PLANS_DIR) + "/VERIFY_lookahead.json");
-  ASSERT_FALSE(rows.empty());
-  // Every committed row is ok (the analyzer refused nothing it shipped).
-  for (const auto& r : rows) EXPECT_TRUE(r.ok) << r.plan << "/" << r.sharding;
-
-  util::TorusShape shape{8, 8, 8};  // fig5-ping's shape
-  sim::ShardLayout layout = verify::shardLayoutFromContract(
-      rows, "fig5-ping", shape, verify::perNodeSharding(shape));
-  EXPECT_EQ(layout.numShards, 512);
-  EXPECT_DOUBLE_EQ(layout.safeLookaheadNs, 53.0);
-  EXPECT_GT(layout.effectiveLookaheadPs(), 0);
-  EXPECT_EQ(layout.conflictDegree, 5);
-}
-
-TEST(LookaheadContract, UnknownPlanOrShardingIsRefused) {
-  auto rows = verify::loadLookaheadContract(
-      std::string(GOLDEN_PLANS_DIR) + "/VERIFY_lookahead.json");
-  util::TorusShape shape{8, 8, 8};
-  EXPECT_THROW(verify::shardLayoutFromContract(rows, "no-such-plan", shape,
-                                               verify::perNodeSharding(shape)),
-               std::runtime_error);
-}
-
-TEST(LookaheadContract, NotOkRowIsRefusedNamingTheContract) {
-  // The committed file holds no rejected rows, so pin the refusal edge with
-  // a hermetic contract: one row, ok=false.
-  std::string path = ::testing::TempDir() + "/rejected_contract.jsonl";
-  {
-    std::ofstream out(path);
-    out << R"({"kind":"lookahead","plan":"p","sharding":"s","shards":2,)"
-        << R"("safeLookaheadNs":0,"conflictDegree":1,"crossShardEdges":3,)"
-        << R"("events":10,"pairs":1,"violations":2,"ok":false})" << "\n";
+TEST(ShardLayout, TopologyBudgetNeverExceedsTheAnalyzerProof) {
+  // The kernel runs every layout at its topology budget without consulting
+  // a plan; that is only sound if, for every shipped plan, the analyzer
+  // accepts the sharding and proves at least that much lookahead.
+  for (const std::string& name : tools::goldenPlanNames()) {
+    verify::CommPlan plan = tools::buildNamedPlan(name);
+    for (const verify::Sharding& sh : {verify::perNodeSharding(plan.shape),
+                                       verify::slabSharding(plan.shape)}) {
+      SCOPED_TRACE(name + " / " + sh.name);
+      verify::LookaheadReport proof = verify::analyzeLookahead(plan, sh);
+      EXPECT_TRUE(proof.ok());
+      sim::Time budget = verify::shardLayout(plan.shape, sh).lookaheadPs();
+      EXPECT_GT(budget, 0);
+      EXPECT_LE(budget, sim::ns(proof.safeLookaheadNs));
+    }
   }
-  auto rows = verify::loadLookaheadContract(path);
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_FALSE(rows[0].ok);
-  util::TorusShape shape{2, 1, 1};
-  verify::Sharding sh = verify::perNodeSharding(shape);
-  sh.name = "s";
-  try {
-    verify::shardLayoutFromContract(rows, "p", shape, sh);
-    FAIL() << "ok=false contract row must refuse";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("violation"), std::string::npos)
-        << e.what();
-  }
-  std::remove(path.c_str());
-}
-
-TEST(LookaheadContract, StaleShardCountIsRefused) {
-  std::string path = ::testing::TempDir() + "/stale_contract.jsonl";
-  {
-    std::ofstream out(path);
-    out << R"({"kind":"lookahead","plan":"p","sharding":"per-node","shards":99,)"
-        << R"("safeLookaheadNs":53,"conflictDegree":1,"crossShardEdges":3,)"
-        << R"("events":10,"pairs":1,"violations":0,"ok":true})" << "\n";
-  }
-  auto rows = verify::loadLookaheadContract(path);
-  util::TorusShape shape{2, 1, 1};  // live sharding: 2 shards, contract: 99
-  try {
-    verify::shardLayoutFromContract(rows, "p", shape,
-                                    verify::perNodeSharding(shape));
-    FAIL() << "stale contract must refuse";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("stale"), std::string::npos)
-        << e.what();
-  }
-  std::remove(path.c_str());
-}
-
-TEST(LookaheadContract, MalformedContractFileThrows) {
-  std::string path = ::testing::TempDir() + "/malformed_contract.jsonl";
-  {
-    std::ofstream out(path);
-    out << "{\"kind\":\"lookahead\", nope}\n";
-  }
-  EXPECT_THROW(verify::loadLookaheadContract(path), std::runtime_error);
-  std::remove(path.c_str());
-  EXPECT_THROW(verify::loadLookaheadContract("/no/such/file.jsonl"),
-               std::runtime_error);
 }
 
 }  // namespace

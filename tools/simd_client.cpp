@@ -17,8 +17,9 @@
 //   --max-hops N    --payload N   --words N
 //   --ber X         --max-retransmits N         --degraded
 //   --recovery-timeout-us X  --recovery-max-resends N  --recovery-backoff-us X
-//   --sharded per-node|slab-x (parallel event kernel; quickstart-md and
-//                              table2-allreduce only, results bit-identical)
+//   --sharded slab-x (parallel event kernel, one shard per x-slab;
+//                     quickstart-md and table2-allreduce only, shape nx >= 2,
+//                     results bit-identical)
 //   --no-cache      --deadline-ms X             --wait
 
 #include <sys/socket.h>

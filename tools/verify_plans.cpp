@@ -41,11 +41,10 @@
 //                       shapes and assert every observed cross-shard link
 //                       edge respects the statically claimed bound; then
 //                       re-run both workloads on the sharded kernel itself
-//                       (per-node and slab-x, 2 workers, budget from the
-//                       committed contract) and require the live parallel
-//                       schedule to pass the same causal check AND stay
-//                       bit-identical to serial; output mirrors to
-//                       VERIFY_oracle.json.
+//                       (per-node and slab-x, 2 workers, layout from the
+//                       torus) and require the live parallel schedule to
+//                       pass the same causal check AND stay bit-identical
+//                       to serial; output mirrors to VERIFY_oracle.json.
 //   --timing            static critical-path & link-occupancy audit (ISSUE
 //                       9): price every golden plan's happens-before graph
 //                       with the calibrated latency model — critical-path
@@ -85,7 +84,6 @@
 #include "sim/simulator.hpp"
 #include "verify/checks.hpp"
 #include "verify/lookahead.hpp"
-#include "verify/shard_contract.hpp"
 #include "verify/snapshot.hpp"
 #include "verify/timing.hpp"
 
@@ -615,13 +613,12 @@ std::string oracleLine(const OracleWorkload& w, const std::string& sharding,
 
 std::string shardedOracleLine(const OracleWorkload& w,
                               const std::string& sharding, bool identical,
-                              bool fromContract,
                               const verify::OracleCheckResult& r) {
   std::ostringstream os;
   os << "{\"kind\":\"oracle-sharded\",\"workload\":"
      << JsonReporter::quoted(w.name)
      << ",\"sharding\":" << JsonReporter::quoted(sharding)
-     << ",\"workers\":2,\"contract\":" << (fromContract ? "true" : "false")
+     << ",\"workers\":2"
      << ",\"records\":" << r.recordsSeen
      << ",\"linkEdges\":" << r.linkEdgesChecked
      << ",\"crossShardEdges\":" << r.crossShardEdges
@@ -637,27 +634,13 @@ std::string shardedOracleLine(const OracleWorkload& w,
 /// static analyzer proves, and confirm the oracle knob did not perturb the
 /// schedule (final clock identical with the knob off). Then re-run each
 /// workload live on the sharded kernel (2 workers, per-node and slab-x,
-/// lookahead budget taken from the committed contract when available) and
-/// hold the parallel schedule to the same two standards: its causal log
+/// layout from the torus) and hold the parallel schedule to the same two
+/// standards: its causal log
 /// passes the oracle check, and its result is bit-identical to serial.
 int runOracle() {
   Emitter em("VERIFY_oracle.json");
   int violations = 0, selftests = 0, selftestFailures = 0;
   bool schedulesMatch = true;
-
-  // Prefer the committed lookahead contract — the oracle should exercise
-  // the exact budget the kernel ships with. Fall back to the plan-free
-  // topology bound (sound for any workload) when run outside a checkout.
-  const char* kContractPath = "tests/golden_plans/VERIFY_lookahead.json";
-  std::vector<verify::LookaheadContractRow> contract;
-  bool haveContract = false;
-  try {
-    contract = verify::loadLookaheadContract(kContractPath);
-    haveContract = true;
-  } catch (const std::exception& e) {
-    std::cerr << "verify_plans --oracle: warning: " << e.what()
-              << "; sharded runs will use the topology bound\n";
-  }
 
   std::vector<OracleWorkload> workloads(2);
   workloads[0].name = "quickstart-md";
@@ -679,11 +662,8 @@ int runOracle() {
       for (const verify::Violation& v : r.violations)
         em.line(findingLine(w.name, v));
 
-      // Live sharded execution under this sharding's committed budget.
-      sim::ShardLayout layout =
-          haveContract
-              ? verify::shardLayoutFromContract(contract, w.name, w.shape, sh)
-              : verify::shardLayoutFromTopology(w.shape, sh);
+      // Live sharded execution under the kernel's topology budget.
+      sim::ShardLayout layout = verify::shardLayout(w.shape, sh);
       OracleWorkload sharded = w;
       sharded.traced = runWorkload(w, /*withOracle=*/true, &layout);
       bool identical = sharded.traced.finalTime == w.bare.finalTime &&
@@ -692,7 +672,7 @@ int runOracle() {
       verify::OracleCheckResult rs = verify::checkCausalLog(
           sharded.traced.log.records(), w.shape, sh);
       violations += int(rs.violations.size());
-      em.line(shardedOracleLine(w, sh.name, identical, haveContract, rs));
+      em.line(shardedOracleLine(w, sh.name, identical, rs));
       for (const verify::Violation& v : rs.violations)
         em.line(findingLine(w.name + "-sharded", v));
     }
