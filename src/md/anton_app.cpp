@@ -1154,7 +1154,7 @@ void AntonMdApp::runSteps(int k) {
     for (int node = 0; node < machine_.numNodes(); ++node) {
       // The affinity hint pins the task's event chain to the node's shard
       // under sharded mode (a no-op hint when serial).
-      sim::ScopedEventNode affinity(node, false);
+      sim::ScopedEventNode affinity(node);
       machine_.sim().spawn(stepTask(node, stepNumber));
     }
     machine_.sim().run();

@@ -7,7 +7,6 @@
 #include <new>
 #include <stdexcept>
 
-#include "sim/causal_log.hpp"
 #include "trace/activity.hpp"
 
 namespace anton::net {
@@ -403,14 +402,8 @@ void Machine::forwardOnLink(const PacketPtr& p, int nodeIdx, int entryRouter,
   const bool cross =
       lay != nullptr && lay->shardOf(nodeIdx) != lay->shardOf(nextIdx);
   if (!cross) {
-    // Reserve the arrival's sequence number now and park it. The causal
-    // oracle attributes the arrival here too (node, link crossing, and the
-    // currently executing event as parent) — at atReserved() time the
-    // executing event would be the previous drain, not the forwarder.
-    std::uint64_t seq = sim_.reserveSeq();
-    if (sim::CausalLog* log = sim::causalOracle())
-      log->noteScheduled(seq, nextIdx, /*link=*/true);
-    l.pending.push_back({p, atRing, seq});
+    // Reserve the arrival's sequence number now and park it.
+    l.pending.push_back({p, atRing, sim_.reserveSeq()});
     if (!l.drainScheduled)
       scheduleDrain(std::size_t(nodeIdx) * 6 + std::size_t(adapterIdx));
   } else {
@@ -422,7 +415,7 @@ void Machine::forwardOnLink(const PacketPtr& p, int nodeIdx, int entryRouter,
     // delivery — are identical to handing over the original pointer.
     PacketPtr q = allocatePacket();
     *q = *p;
-    sim::ScopedEventNode affinity(nextIdx, /*link=*/true);
+    sim::ScopedEventNode affinity(nextIdx);
     sim_.at(atRing, [this, q, nextIdx, entryAdapterRouter, dim, sign, atRing] {
       routeFrom(q, nextIdx, entryAdapterRouter, dim, sign, atRing);
     });
@@ -508,10 +501,8 @@ void Machine::deliverLocal(const PacketPtr& p, int nodeIdx, int entryRouter,
   sim::Time tPath = t + lat.ringPath(entryRouter, clientRouter);
   sim::Time start = node(nodeIdx).reserveRing(tPath, p->wireBytes());
   sim::Time commit = start + p->tailLag;
-  // Same-node schedule point: attribute the commit to this node (not a link
-  // crossing) so the oracle's inheritance chain — and the sharded kernel's
-  // event routing — stays on the node's own shard.
-  sim::ScopedEventNode affinity(nodeIdx, /*link=*/false);
+  // Same-node schedule point: route the commit to this node's own shard.
+  sim::ScopedEventNode affinity(nodeIdx);
   sim_.at(commit, [this, p, nodeIdx, clientId] {
     node(nodeIdx).client(clientId).deliver(p);
     ++st().packetsDelivered;

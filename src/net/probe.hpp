@@ -28,7 +28,7 @@ inline double oneWayLatencyNs(Machine& m, ClientAddr src, ClientAddr dst,
   {
     // Pin the receiver's event chain to its node's shard under sharded
     // mode (a no-op hint when serial).
-    sim::ScopedEventNode affinity(dst.node, false);
+    sim::ScopedEventNode affinity(dst.node);
     m.sim().spawn(receiver(m, dst, done));
   }
   double start = sim::toNs(m.sim().now());
@@ -53,11 +53,11 @@ inline double bidirLatencyNs(Machine& m, ClientAddr a, ClientAddr b,
     out = sim::toNs(mm.sim().now());
   };
   {
-    sim::ScopedEventNode affinityA(a.node, false);
+    sim::ScopedEventNode affinityA(a.node);
     m.sim().spawn(receiver(m, a, doneA));
   }
   {
-    sim::ScopedEventNode affinityB(b.node, false);
+    sim::ScopedEventNode affinityB(b.node);
     m.sim().spawn(receiver(m, b, doneB));
   }
   double start = sim::toNs(m.sim().now());

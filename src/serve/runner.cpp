@@ -21,14 +21,14 @@ namespace {
 
 namespace json = util::json;
 
-/// Fig. 5 destination at the given hop count: 1-4 X only, 5-8 add Y,
-/// 9-12 add Z (shortest-path max 4 per dimension on the 8x8x8 torus).
 RunOutcome cancelledOutcome() {
   RunOutcome out;
   out.cancelled = true;
   return out;
 }
 
+/// Fig. 5 destination at the given hop count: 1-4 X only, 5-8 add Y,
+/// 9-12 add Z (shortest-path max 4 per dimension on the 8x8x8 torus).
 util::TorusCoord destAtHops(int hops) {
   int hx = std::min(hops, 4);
   int hy = std::min(std::max(hops - 4, 0), 4);
@@ -220,7 +220,7 @@ RunOutcome runTable2AllReduce(const JobSpec& spec, sim::Simulator& arena,
     doneAt[std::size_t(node)] = sim::toUs(arena.now());
   };
   for (int node = 0; node < n; ++node) {
-    sim::ScopedEventNode affinity(node, false);
+    sim::ScopedEventNode affinity(node);
     arena.spawn(task(node));
   }
   arena.run();

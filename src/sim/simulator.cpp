@@ -48,7 +48,6 @@ void Simulator::purgeArena(EventArena& a) {
   // touch the slot arena per step.
   if (a.liveCancellable == 0) return;
   while (!a.queue.empty() && a.slotCancelled(a.queue.top().slot)) {
-    if (CausalLog* log = causalOracle()) log->onDiscard(a.queue.top().seq);
     a.release(a.queue.top().slot);
     a.queue.pop();
   }
@@ -83,9 +82,7 @@ void Simulator::at(Time t, Callback fn) {
   }
   if (t < now_) throw std::logic_error("Simulator::at: event scheduled in the past");
   std::uint32_t slot = host_.park(std::move(fn), nullptr);
-  std::uint64_t seq = nextSeq_++;
-  if (CausalLog* log = causalOracle()) log->noteScheduled(seq);
-  host_.queue.push(Event{t, seq, slot});
+  host_.queue.push(Event{t, nextSeq_++, slot});
 }
 
 void Simulator::atReserved(Time t, std::uint64_t seq, Callback fn) {
@@ -98,9 +95,6 @@ void Simulator::atReserved(Time t, std::uint64_t seq, Callback fn) {
   if (seq >= nextSeq_)
     throw std::logic_error("Simulator::atReserved: seq was not reserved");
   std::uint32_t slot = host_.park(std::move(fn), nullptr);
-  // Insert-if-absent: a caller that attributed the seq at its reservation
-  // point (net::Machine's batched drains) already fixed node and parent.
-  if (CausalLog* log = causalOracle()) log->noteScheduled(seq);
   host_.queue.push(Event{t, seq, slot});
 }
 
@@ -115,9 +109,7 @@ Simulator::EventHandle Simulator::atCancellable(Time t, Callback fn) {
     throw std::logic_error("Simulator::atCancellable: event scheduled in the past");
   std::uint32_t slot = host_.park(std::move(fn), h);
   ++host_.liveCancellable;
-  std::uint64_t seq = nextSeq_++;
-  if (CausalLog* log = causalOracle()) log->noteScheduled(seq);
-  host_.queue.push(Event{t, seq, slot});
+  host_.queue.push(Event{t, nextSeq_++, slot});
   return h;
 }
 
@@ -140,7 +132,6 @@ void Simulator::shardedSchedule(Time t, std::uint64_t seq, bool haveSeq,
   } else if (seq >= nextSeq_) {
     throw std::logic_error("Simulator::atReserved: seq was not reserved");
   }
-  if (CausalLog* log = causalOracle()) log->noteScheduled(seq);
 
   if (dest == self || self < 0) {
     // Same-shard (or host-context) schedule: push directly. The host owns
@@ -199,10 +190,8 @@ bool Simulator::stepHost() {
   host_.release(ev.slot);
   now_ = ev.t;
   ++processed_;
-  if (CausalLog* log = causalOracle()) log->onExecute(ev.t, ev.seq);
+  foldSchedule(ev.t, ev.seq);
   fn();
-  // Re-fetch: the callback may have attached or detached the oracle.
-  if (CausalLog* log = causalOracle()) log->onExecuteDone();
   return true;
 }
 
@@ -275,9 +264,7 @@ std::size_t Simulator::reset() {
   now_ = 0;
   nextSeq_ = 0;
   processed_ = 0;
-  // Sequence numbers restart: an attached oracle log must open a new epoch
-  // so records from different generations cannot alias.
-  if (CausalLog* log = causalOracle()) log->onReset();
+  scheduleDigest_ = util::kFnvOffsetBasis;
   return discarded;
 }
 
@@ -302,6 +289,9 @@ void Simulator::removeShardParticipant(ShardParticipant* p) {
 void Simulator::enableSharded(ShardLayout layout, int workers) {
   if (sharded_)
     throw std::logic_error("Simulator::enableSharded: sharded mode already on");
+  if (workers < 1)
+    throw std::invalid_argument(
+        "Simulator::enableSharded: workers must be >= 1");
   if (layout.numShards < 1)
     throw std::invalid_argument("Simulator::enableSharded: numShards must be >= 1");
   if (layout.shardOfNode.empty())
@@ -324,7 +314,6 @@ void Simulator::enableSharded(ShardLayout layout, int workers) {
   shards_.resize(std::size_t(layout_.numShards));
   shardedStats_ = {};
   hostCapValid_ = false;
-  mainLog_ = nullptr;
   sharded_ = true;
 
   std::size_t enabled = 0;
@@ -342,17 +331,15 @@ void Simulator::enableSharded(ShardLayout layout, int workers) {
   }
 
   int w = std::min(workers, layout_.numShards);
-  if (w > 0) {
-    while (crewPools_.size() < std::size_t(w))
-      crewPools_.push_back(std::make_unique<WorkerPoolSet>());
-    {
-      std::lock_guard<std::mutex> lk(crewMu_);
-      crewStop_ = false;
-      crewGeneration_ = 0;
-      crewRemaining_ = 0;
-    }
-    for (int i = 0; i < w; ++i) crew_.emplace_back([this, i] { crewMain(i); });
+  while (crewPools_.size() < std::size_t(w))
+    crewPools_.push_back(std::make_unique<WorkerPoolSet>());
+  {
+    std::lock_guard<std::mutex> lk(crewMu_);
+    crewStop_ = false;
+    crewGeneration_ = 0;
+    crewRemaining_ = 0;
   }
+  for (int i = 0; i < w; ++i) crew_.emplace_back([this, i] { crewMain(i); });
 }
 
 void Simulator::disableSharded() {
@@ -385,7 +372,6 @@ void Simulator::teardownSharded() {
   layout_ = {};
   lookaheadPs_ = 0;
   sharded_ = false;
-  mainLog_ = nullptr;
   hostCapValid_ = false;
 }
 
@@ -439,20 +425,6 @@ void Simulator::crewMain(int worker) {
 }
 
 void Simulator::runWindow() {
-  if (crew_.empty()) {
-    // Deterministic 0-worker mode: the main thread plays every shard's
-    // window in index order. Same windows, same barriers, no concurrency —
-    // and provably the same results, since shard windows are independent
-    // (cross-shard effects only travel through barrier-delivered mail).
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      try {
-        runShardWindow(i);
-      } catch (...) {
-        shards_[i].error = std::current_exception();
-      }
-    }
-    return;
-  }
   {
     std::lock_guard<std::mutex> lk(crewMu_);
     crewCursor_.store(0, std::memory_order_relaxed);
@@ -468,26 +440,10 @@ void Simulator::runWindow() {
 
 void Simulator::runShardWindow(std::size_t i) {
   Shard& sh = shards_[i];
-  CausalLog* saved = causalOracle();
   detail::tlsShard() = int(i);
-  if (mainLog_ != nullptr) {
-    // Stage oracle records per shard; the barrier merges them into the main
-    // log in canonical order. Scheduling notes for events from earlier
-    // windows already live in the main log — the stage falls back to a
-    // read-only probe there.
-    sh.stage.setFallback(mainLog_);
-    sh.stage.setEpoch(mainLog_->epoch());
-    causalOracle() = &sh.stage;
-  } else {
-    causalOracle() = nullptr;
-  }
   struct Restore {
-    CausalLog* saved;
-    ~Restore() {
-      causalOracle() = saved;
-      detail::tlsShard() = -1;
-    }
-  } restore{saved};
+    ~Restore() { detail::tlsShard() = -1; }
+  } restore;
 
   while (true) {
     purgeArena(sh.arena);
@@ -512,9 +468,7 @@ void Simulator::runShardWindow(std::size_t i) {
     sh.execs.push_back(
         {ev.seq, ev.t, std::uint32_t(sh.reqSeqs.size()), 0});
     ++sh.windowProcessed;
-    if (CausalLog* log = causalOracle()) log->onExecute(ev.t, ev.seq);
     fn();
-    if (CausalLog* log = causalOracle()) log->onExecuteDone();
     sh.execs[idx].reqCount =
         std::uint32_t(sh.reqSeqs.size()) - sh.execs[idx].reqBegin;
   }
@@ -544,9 +498,8 @@ std::uint64_t Simulator::hostDrain(Time deadline) {
     now_ = ev.t;
     ++processed_;
     ++n;
-    if (CausalLog* log = causalOracle()) log->onExecute(ev.t, ev.seq);
+    foldSchedule(ev.t, ev.seq);
     fn();
-    if (CausalLog* log = causalOracle()) log->onExecuteDone();
   }
   return n;
 }
@@ -583,8 +536,6 @@ std::uint64_t Simulator::runSharded(Time deadline, bool hasDeadline) {
     if (hasDeadline && windowEnd_ > deadline) windowEnd_ = deadline + 1;
     hostCapValid_ = !host_.queue.empty();
     if (hostCapValid_) hostCap_ = host_.queue.top();
-    // Capture the oracle per window: hostDrain may have attached/detached it.
-    mainLog_ = causalOracle();
 
     runWindow();
     std::uint64_t windowRan = shardedBarrier();
@@ -620,9 +571,11 @@ std::uint64_t Simulator::shardedBarrier() {
   // that already had a canonical seq; popping (t, seq) minima visits the
   // window's executions in exactly the serial kernel's order, so assigning
   // nextSeq_ to their recorded reservations in pop order reproduces the
-  // serial issue order bit for bit. Provisional executions enter the heap
-  // the moment their own seq is canonicalized (their scheduler always pops
-  // first — it executed earlier in serial order).
+  // serial issue order bit for bit — and folding each popped (t, seq) into
+  // the schedule digest matches what the serial kernel folds. Provisional
+  // executions enter the heap the moment their own seq is canonicalized
+  // (their scheduler always pops first — it executed earlier in serial
+  // order).
   struct PQE {
     Time t;
     std::uint64_t seq;
@@ -654,6 +607,7 @@ std::uint64_t Simulator::shardedBarrier() {
     PQE e = pq.top();
     pq.pop();
     ++popped;
+    foldSchedule(e.t, e.seq);
     const ExecRecord& r = shards_[std::size_t(e.shard)].execs[e.idx];
     for (std::uint32_t k = 0; k < r.reqCount; ++k) {
       std::uint64_t prov =
@@ -725,48 +679,12 @@ std::uint64_t Simulator::shardedBarrier() {
     src.outbox.clear();
   }
 
-  // 4) Merge staged causal records in canonical order, and migrate staged
-  // scheduling notes (events not yet executed) into the main log so later
-  // windows — possibly on other shards — find them via the fallback probe.
-  if (mainLog_ != nullptr) {
-    std::vector<CausalRecord> merged;
-    for (Shard& sh : shards_) {
-      for (CausalRecord& r : sh.stage.records_) {
-        if (r.seq & kProvBit) r.seq = canonOf(r.seq);
-        if (r.parent != kNoCausalParent && (r.parent & kProvBit))
-          r.parent = canonOf(r.parent);
-        merged.push_back(r);
-      }
-      sh.stage.records_.clear();
-      for (auto& [seq, pend] : sh.stage.pending_) {
-        CausalLog::Pending p = pend;
-        if (p.parent != kNoCausalParent && (p.parent & kProvBit))
-          p.parent = canonOf(p.parent);
-        mainLog_->pending_.insert_or_assign(
-            (seq & kProvBit) ? canonOf(seq) : seq, p);
-      }
-      sh.stage.pending_.clear();
-      sh.stage.executingSeq_ = kNoCausalParent;
-      sh.stage.executingNode_ = -1;
-      sh.stage.setFallback(nullptr);
-    }
-    // Window executions are lex-disjoint from everything already recorded
-    // and from every later window, and seqs are globally unique — a plain
-    // (t, seq) sort is exactly the serial append order.
-    std::sort(merged.begin(), merged.end(),
-              [](const CausalRecord& a, const CausalRecord& b) {
-                return a.t != b.t ? a.t < b.t : a.seq < b.seq;
-              });
-    mainLog_->records_.insert(mainLog_->records_.end(), merged.begin(),
-                              merged.end());
-  }
-
-  // 5) Participants remap their stored seqs (net::Machine's reserved link
+  // 4) Participants remap their stored seqs (net::Machine's reserved link
   // arrivals) and fold staged per-shard state (stats, traces).
   std::function<std::uint64_t(std::uint64_t)> canonFn = canonOf;
   for (ShardParticipant* p : participants_) p->onShardedBarrier(canonFn);
 
-  // 6) Adopt staged spawns, fold counters, reset per-window staging.
+  // 5) Adopt staged spawns, fold counters, reset per-window staging.
   std::uint64_t windowEvents = 0;
   for (Shard& sh : shards_) {
     for (Task& t : sh.stagedRoots) roots_.push_back(std::move(t));

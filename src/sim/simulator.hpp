@@ -24,8 +24,8 @@
 // lookahead bound. Events scheduled inside a window carry provisional
 // sequence numbers; the barrier replays the window's execution order to
 // assign the exact sequence numbers the serial kernel would have issued, so
-// a sharded run's schedule — and therefore its results, traces and causal
-// records — is bit-identical to the serial one.
+// a sharded run's schedule — and therefore its results, traces and
+// scheduleDigest() — is bit-identical to the serial one.
 #pragma once
 
 #include <atomic>
@@ -41,11 +41,11 @@
 #include <utility>
 #include <vector>
 
-#include "sim/causal_log.hpp"
 #include "sim/event_fn.hpp"
 #include "sim/shard_layout.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
+#include "util/json.hpp"
 #include "util/slab_pool.hpp"
 
 namespace anton::sim {
@@ -74,15 +74,12 @@ inline std::int32_t& scheduleNodeTls() {
 }  // namespace detail
 
 /// RAII: events scheduled in this scope belong to machine node `node` — the
-/// sharded kernel routes them to that node's shard, and the causal oracle
-/// (when attached) attributes them to it. This is the single affinity
-/// mechanism net::Machine wraps around its cross-node schedule points; it
-/// subsumes ScopedCausalNodeHint, which is a no-op without an attached
-/// oracle and therefore cannot carry shard routing.
+/// sharded kernel routes them to that node's shard (a no-op when serial).
+/// net::Machine wraps it around its cross-node schedule points.
 class ScopedEventNode {
  public:
-  ScopedEventNode(std::int32_t node, bool link)
-      : saved_(detail::scheduleNodeTls()), hint_(node, link) {
+  explicit ScopedEventNode(std::int32_t node)
+      : saved_(detail::scheduleNodeTls()) {
     detail::scheduleNodeTls() = node;
   }
   ~ScopedEventNode() { detail::scheduleNodeTls() = saved_; }
@@ -91,7 +88,6 @@ class ScopedEventNode {
 
  private:
   std::int32_t saved_;
-  ScopedCausalNodeHint hint_;
 };
 
 /// Hook interface for components that stage per-shard state during sharded
@@ -141,6 +137,13 @@ class Simulator {
     return (s >= 0 && sharded_) ? shards_[std::size_t(s)].clock : now_;
   }
   std::uint64_t eventsProcessed() const { return processed_; }
+  /// Digest of the executed schedule: every event's (time, seq), folded in
+  /// serial execution order (FNV-1a, one 64-bit word per step). A sharded
+  /// run folds the same sequence — host events as the host drains them,
+  /// window events in the barrier's replay order — so equal digests mean
+  /// the same events ran at the same times in the same order. reset()
+  /// restarts it.
+  std::uint64_t scheduleDigest() const { return scheduleDigest_; }
   bool empty() const;
   /// Root tasks not yet reaped (live coroutine frames held by the kernel).
   std::size_t liveRoots() const { return roots_.size(); }
@@ -199,8 +202,8 @@ class Simulator {
 
   /// Return the kernel to its just-constructed state: pending events are
   /// discarded unexecuted, live root-task frames are destroyed (their
-  /// destructors run; no callbacks fire), and the clock, sequence counter
-  /// and processed tally restart from zero. Sharded mode, if enabled, is
+  /// destructors run; no callbacks fire), and the clock, sequence counter,
+  /// processed tally and schedule digest restart. Sharded mode, if enabled, is
   /// torn down (workers joined, participants notified) — sharding is a
   /// per-job opt-in, never ambient state a later job could inherit. The
   /// explicit arena-reuse audit point for workers that run many jobs on one
@@ -218,11 +221,10 @@ class Simulator {
   /// which refuses a sharding that splits a node (naming lookahead.zero);
   /// enableSharded() additionally refuses any layout whose lookahead budget
   /// is not positive.
-  /// `workers` worker threads execute shard windows (0 = the main thread
-  /// iterates shards in index order — same windows, same barriers, same
-  /// results, no concurrency). Throws if sharded mode is already on or if
-  /// any registered participant refuses.
-  void enableSharded(ShardLayout layout, int workers = 0);
+  /// `workers` (>= 1; capped at the shard count) worker threads execute
+  /// shard windows. Throws if sharded mode is already on or if any
+  /// registered participant refuses.
+  void enableSharded(ShardLayout layout, int workers);
 
   /// Leave sharded mode: joins workers and notifies participants. All shard
   /// queues must be empty (run to completion first); throws otherwise.
@@ -376,7 +378,6 @@ class Simulator {
     std::vector<std::uint64_t> reqSeqs;   ///< this window's reservations
     std::vector<Mail> outbox;             ///< cross-shard sends this window
     std::vector<Task> stagedRoots;        ///< spawns from this shard's events
-    CausalLog stage;                      ///< per-window oracle staging
     std::exception_ptr error;             ///< rethrown at the barrier
   };
 
@@ -392,6 +393,11 @@ class Simulator {
 
   static bool lexBefore(const Event& a, const Event& b) {
     return a.t != b.t ? a.t < b.t : a.seq < b.seq;
+  }
+
+  void foldSchedule(Time t, std::uint64_t seq) {
+    scheduleDigest_ = (scheduleDigest_ ^ std::uint64_t(t)) * util::kFnvPrime;
+    scheduleDigest_ = (scheduleDigest_ ^ seq) * util::kFnvPrime;
   }
 
   void purgeArena(EventArena& a);
@@ -413,6 +419,7 @@ class Simulator {
   Time now_ = 0;
   std::uint64_t nextSeq_ = 0;
   std::uint64_t processed_ = 0;
+  std::uint64_t scheduleDigest_ = util::kFnvOffsetBasis;
   EventArena host_;
   std::vector<Task> roots_;
 
@@ -422,7 +429,6 @@ class Simulator {
   Time lookaheadPs_ = 0;  ///< global run-ahead budget (layout_.lookaheadPs())
   std::vector<Shard> shards_;
   std::vector<ShardParticipant*> participants_;
-  CausalLog* mainLog_ = nullptr;  ///< oracle attached for the running window
   ShardedStats shardedStats_;
 
   // Window publication (written by main between windows, read by workers).

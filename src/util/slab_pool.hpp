@@ -115,9 +115,12 @@ class SlabPool {
                                                   std::memory_order_relaxed));
       return;
     }
+    // Read the bucket before the FreeNode link overwrites it (both sit at
+    // offset 0 of the header).
+    std::uint32_t bucket = h->bucket;
     auto* n = reinterpret_cast<FreeNode*>(h);
-    n->next = freelists_[h->bucket];
-    freelists_[h->bucket] = n;
+    n->next = freelists_[bucket];
+    freelists_[bucket] = n;
     ++stats_.poolFrees;
     --stats_.live;
   }

@@ -5,7 +5,6 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "net/packet.hpp"
 #include "verify/events.hpp"
@@ -390,63 +389,6 @@ LookaheadReport analyzeLookahead(const CommPlan& plan, const Sharding& sharding,
                    });
   rep.violations = std::move(vc.out);
   return rep;
-}
-
-OracleCheckResult checkCausalLog(const std::vector<sim::CausalRecord>& log,
-                                 const util::TorusShape& shape,
-                                 const Sharding& sharding,
-                                 const net::LatencyConfig& lat) {
-  OracleCheckResult res;
-  res.recordsSeen = int(log.size());
-  std::map<std::pair<int, int>, ShardPairStat> pairs =
-      shardPairBounds(shape, sharding, lat);
-  auto boundOf = [&](int a, int b) {
-    if (sharding.claimedLookaheadNs >= 0) return sharding.claimedLookaheadNs;
-    auto key = std::minmax(a, b);
-    auto it = pairs.find({key.first, key.second});
-    return it == pairs.end() ? 0.0 : it->second.linkBoundNs;
-  };
-
-  // (epoch, seq) -> record index. Parents execute before they schedule, so
-  // every resolvable parent is present by the time its child is checked.
-  std::unordered_map<std::uint64_t, std::size_t> bySeq;
-  auto keyOf = [](std::uint16_t epoch, std::uint64_t seq) {
-    return (std::uint64_t(epoch) << 48) ^ seq;
-  };
-  for (std::size_t i = 0; i < log.size(); ++i)
-    bySeq[keyOf(log[i].epoch, log[i].seq)] = i;
-
-  ViolationCollector vc;
-  for (const sim::CausalRecord& r : log) {
-    if (r.link == 0 || r.node < 0 || r.parent == sim::kNoCausalParent)
-      continue;
-    auto it = bySeq.find(keyOf(r.epoch, r.parent));
-    if (it == bySeq.end()) continue;
-    const sim::CausalRecord& p = log[it->second];
-    if (p.node < 0 || p.node == r.node) continue;
-    ++res.linkEdgesChecked;
-    int sp = sharding.shardOfNode(p.node);
-    int sr = sharding.shardOfNode(r.node);
-    if (sp == sr) continue;
-    ++res.crossShardEdges;
-    double deltaNs = sim::toNs(r.t - p.t);
-    if (res.minObservedNs < 0 || deltaNs < res.minObservedNs)
-      res.minObservedNs = deltaNs;
-    double bound = boundOf(sp, sr);
-    if (r.t - p.t < sim::ns(bound)) {
-      vc.add("oracle.lookahead", sharding.name,
-             "observed cross-shard delta " + ns1(deltaNs) +
-                 " ns below the claimed lookahead " + ns1(bound) +
-                 " ns: event seq " + std::to_string(r.seq) + " at node " +
-                 std::to_string(r.node) + " (shard " + std::to_string(sr) +
-                 ") scheduled by seq " + std::to_string(r.parent) +
-                 " at node " + std::to_string(p.node) + " (shard " +
-                 std::to_string(sp) + ")",
-             r.node);
-    }
-  }
-  res.violations = std::move(vc.out);
-  return res;
 }
 
 }  // namespace anton::verify

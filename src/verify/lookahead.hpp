@@ -28,9 +28,9 @@
 //                          boundaries: null messages cannot advance any
 //                          clock on the cycle, so the kernel deadlocks.
 //
-// The dynamic side: checkCausalLog() replays a sim::CausalLog recorded by
-// the serial kernel and asserts every observed cross-shard link edge
-// respects the same bound ("oracle.lookahead" on violation).
+// The dynamic side is the sharded kernel itself: its window barrier
+// (sim::Simulator) rejects, while the run executes, any cross-shard message
+// faster than the pair bound shardLayout() hands it ("sharded.lookahead").
 #pragma once
 
 #include <functional>
@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "net/latency.hpp"
-#include "sim/causal_log.hpp"
 #include "sim/shard_layout.hpp"
 #include "util/torus_coord.hpp"
 #include "verify/checks.hpp"
@@ -124,7 +123,8 @@ struct LookaheadReport {
 /// Minimum link-crossing latency between every adjacent shard pair (a < b),
 /// from topology alone: 0 when a node's clients span the pair, else the min
 /// over boundary links of lat.minLinkCrossingNs(dim). Shared by the static
-/// analyzer and the dynamic oracle checker so both enforce one bound.
+/// analyzer and shardLayout() so the proof and the kernel's barrier guard
+/// enforce one bound.
 std::map<std::pair<int, int>, ShardPairStat> shardPairBounds(
     const util::TorusShape& shape, const Sharding& sharding,
     const net::LatencyConfig& lat);
@@ -144,25 +144,5 @@ sim::ShardLayout shardLayout(const util::TorusShape& shape,
 LookaheadReport analyzeLookahead(const CommPlan& plan, const Sharding& sharding,
                                  const net::LatencyConfig& lat = {},
                                  int rounds = 2);
-
-/// Outcome of replaying a causal log against the static claim.
-struct OracleCheckResult {
-  int recordsSeen = 0;
-  int linkEdgesChecked = 0;   ///< parent->child edges across a torus link
-  int crossShardEdges = 0;    ///< ...whose endpoints are on different shards
-  double minObservedNs = -1.0;  ///< tightest observed cross-shard delta
-  std::vector<Violation> violations;  ///< check id "oracle.lookahead"
-
-  bool ok() const { return violations.empty(); }
-};
-
-/// Assert every observed cross-shard link edge in `log` respects the
-/// sharding's claimed (or derived) lookahead bound. Only records attributed
-/// at a link crossing claim the bound; inherited host attribution is
-/// advisory (a known conservatism, DESIGN.md §11).
-OracleCheckResult checkCausalLog(const std::vector<sim::CausalRecord>& log,
-                                 const util::TorusShape& shape,
-                                 const Sharding& sharding,
-                                 const net::LatencyConfig& lat = {});
 
 }  // namespace anton::verify

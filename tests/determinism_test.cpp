@@ -13,7 +13,6 @@
 #include "fault/plan.hpp"
 #include "md/anton_app.hpp"
 #include "net/machine.hpp"
-#include "sim/causal_log.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "trace/activity.hpp"
@@ -64,6 +63,7 @@ struct RunResult {
   net::MachineStats stats;
   std::uint64_t digest = 0;
   sim::Time finalTime = 0;
+  std::uint64_t scheduleDigest = 0;
 };
 
 // A seeded random traffic storm: writes and accumulations of varying sizes
@@ -89,7 +89,7 @@ RunResult trafficStorm(std::uint64_t seed, fault::FaultPlan* plan,
     m.client({srcNode, srcClient}).post(args);
   }
   sim.run();
-  return {m.stats(), machineDigest(m), sim.now()};
+  return {m.stats(), machineDigest(m), sim.now(), sim.scheduleDigest()};
 }
 
 TEST(Determinism, SeededTrafficIsBitIdenticalAcrossRuns) {
@@ -136,50 +136,21 @@ constexpr std::uint64_t kStormStatsDigest = 0xeef4ba7df73a48e0ULL;
 constexpr std::uint64_t kStormMachineDigest = 0x12da295eea0a9145ULL;
 constexpr sim::Time kStormFinalTime = 630999;
 constexpr std::uint64_t kStormTraceCsvDigest = 0x0d0ace3db7bbb973ULL;
-constexpr std::size_t kStormCausalRecords = 1638;
-constexpr std::uint64_t kStormCausalDigest = 0xb21de25f2815ac56ULL;
+// Simulator::scheduleDigest() of the storm: every executed event's
+// (time, seq) in execution order.
+constexpr std::uint64_t kStormScheduleDigest = 0xea749fb885d9f65dULL;
 
 TEST(Determinism, TrafficStormMatchesThePinnedSchedule) {
-  // Stats, memories, counters, the final clock AND the full activity trace
-  // (every link busy window, in emission order) against absolute pins.
+  // Stats, memories, counters, the final clock, the executed (time, seq)
+  // schedule AND the full activity trace (every link busy window, in
+  // emission order) against absolute pins.
   trace::ActivityTrace tr;
   RunResult r = trafficStorm(7, nullptr, &tr);
   EXPECT_EQ(statsDigest(r.stats), kStormStatsDigest);
   EXPECT_EQ(r.digest, kStormMachineDigest);
   EXPECT_EQ(r.finalTime, kStormFinalTime);
+  EXPECT_EQ(r.scheduleDigest, kStormScheduleDigest);
   EXPECT_EQ(util::fnv1a64(tr.csv()), kStormTraceCsvDigest);
-}
-
-TEST(Determinism, CausalTraceMatchesThePinnedDigest) {
-  // The causal-order oracle's recorded (t, seq, parent, node, link) trace
-  // of the storm is pinned: batched link drains attribute each arrival at
-  // its reserveSeq() point. (AttachedOracleLeavesTheScheduleUntouched
-  // checks that recording leaves the storm itself unchanged.)
-  sim::CausalLog log;
-  {
-    sim::ScopedCausalOracle oracle(log);
-    trafficStorm(7, nullptr);
-  }
-  EXPECT_EQ(log.records().size(), kStormCausalRecords);
-  EXPECT_EQ(log.digest(), kStormCausalDigest);
-  // The trace contains attributed link crossings (the oracle's subject).
-  bool anyLink = false;
-  for (const sim::CausalRecord& rec : log.records())
-    anyLink = anyLink || rec.link != 0;
-  EXPECT_TRUE(anyLink);
-}
-
-TEST(Determinism, AttachedOracleLeavesTheScheduleUntouched) {
-  // Recording must be observation-only: the same storm with and without a
-  // log attached lands on identical stats, memories and final clock.
-  RunResult bare = trafficStorm(7, nullptr);
-  sim::CausalLog log;
-  sim::ScopedCausalOracle oracle(log);
-  RunResult traced = trafficStorm(7, nullptr);
-  EXPECT_EQ(bare.stats, traced.stats);
-  EXPECT_EQ(bare.digest, traced.digest);
-  EXPECT_EQ(bare.finalTime, traced.finalTime);
-  EXPECT_FALSE(log.records().empty());
 }
 
 // The pinned end state of three quickstart-shaped MD supersteps (seed 11):
@@ -318,6 +289,7 @@ struct MdShardedResult {
   net::MachineStats stats;
   std::uint64_t digest = 0;
   sim::Time finalTime = 0;
+  std::uint64_t scheduleDigest = 0;
   std::uint64_t migrated = 0;
   std::vector<md::StepTiming> timings;
 };
@@ -356,6 +328,7 @@ MdShardedResult mdRun(const std::string& shardingName, int workers) {
   r.sys = app.gatherSystem();
   r.digest = machineDigest(m);
   r.finalTime = sim.now();
+  r.scheduleDigest = sim.scheduleDigest();
   r.migrated = app.totalMigrated();
   r.timings = app.stepTimings();
   return r;
@@ -365,6 +338,7 @@ void expectMdIdentical(const MdShardedResult& a, const MdShardedResult& b) {
   EXPECT_EQ(a.stats, b.stats);
   EXPECT_EQ(a.digest, b.digest);
   EXPECT_EQ(a.finalTime, b.finalTime);
+  EXPECT_EQ(a.scheduleDigest, b.scheduleDigest);
   EXPECT_EQ(a.migrated, b.migrated);
   ASSERT_EQ(a.sys.numAtoms(), b.sys.numAtoms());
   for (int i = 0; i < a.sys.numAtoms(); ++i) {
@@ -387,7 +361,7 @@ void expectMdIdentical(const MdShardedResult& a, const MdShardedResult& b) {
 
 TEST(Determinism, MdShardedPerNodeMatchesSerialBitIdentically) {
   MdShardedResult serial = mdRun("", 0);
-  MdShardedResult sharded = mdRun("per-node", 0);
+  MdShardedResult sharded = mdRun("per-node", 1);
   expectMdIdentical(serial, sharded);
 }
 

@@ -1,22 +1,17 @@
-// Static parallel-safety analyzer + dynamic causal-order oracle (ISSUE 8).
+// Static parallel-safety analyzer (DESIGN.md §11).
 //
 // The safe half: the shipped shardings (per-node, x-slab) of real plans
 // must prove violation-free, with the derived lookahead budget equal to the
 // calibrated minimum link crossing. The unsafe half: each seeded-bad
 // sharding must fire its distinct diagnostic with a named critical edge.
-// The dynamic half: a causal trace of live traffic must respect the same
-// bound the static side proves, and the inflated-claim sharding must be
-// refuted by that very trace.
+// The dynamic check of the same bound is the sharded kernel's window
+// barrier (tests/sharded_test.cpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <optional>
-#include <utility>
 
 #include "core/allreduce.hpp"
 #include "net/machine.hpp"
-#include "net/probe.hpp"
-#include "sim/causal_log.hpp"
 #include "sim/simulator.hpp"
 #include "verify/lookahead.hpp"
 
@@ -163,80 +158,6 @@ TEST(Lookahead, InflatedClaimFiresSlack) {
       plan.shape, std::min({lat.minLinkCrossingNs(0), lat.minLinkCrossingNs(1),
                             lat.minLinkCrossingNs(2)}));
   EXPECT_TRUE(verify::analyzeLookahead(plan, honest).ok());
-}
-
-TEST(Lookahead, OracleAcceptsLiveTrafficUnderTheDerivedBound) {
-  util::TorusShape shape{4, 2, 1};
-  sim::CausalLog log;
-  sim::Simulator simulator;
-  net::Machine machine(simulator, shape);
-  {
-    sim::ScopedCausalOracle oracle(log);
-    // Multi-hop pings: every link crossing lands in the trace.
-    net::oneWayLatencyNs(machine, {0, net::kSlice0}, {2, net::kSlice0}, 64);
-    net::oneWayLatencyNs(machine, {0, net::kSlice0}, {5, net::kSlice0}, 0);
-  }
-  ASSERT_FALSE(log.records().empty());
-
-  net::LatencyConfig lat;
-  verify::OracleCheckResult r = verify::checkCausalLog(
-      log.records(), shape, verify::perNodeSharding(shape), lat);
-  EXPECT_TRUE(r.ok());
-  EXPECT_GT(r.linkEdgesChecked, 0);
-  EXPECT_GT(r.crossShardEdges, 0);
-  // Every observed crossing is at least the static minimum.
-  double minCrossing = std::min({lat.minLinkCrossingNs(0),
-                                 lat.minLinkCrossingNs(1),
-                                 lat.minLinkCrossingNs(2)});
-  EXPECT_GE(r.minObservedNs, minCrossing);
-
-  // The same trace refutes a claim nobody can guarantee.
-  verify::OracleCheckResult bad = verify::checkCausalLog(
-      log.records(), shape, verify::claimedLookaheadSharding(shape, 1.0e6),
-      lat);
-  EXPECT_FALSE(bad.ok());
-  EXPECT_TRUE(hasCheck(bad.violations, "oracle.lookahead"));
-}
-
-TEST(Lookahead, OracleKnobOffLeavesTheScheduleUntouched) {
-  auto run = [](sim::CausalLog* log) {
-    sim::Simulator simulator;
-    net::Machine machine(simulator, {4, 2, 1});
-    std::optional<sim::ScopedCausalOracle> oracle;
-    if (log != nullptr) oracle.emplace(*log);
-    net::oneWayLatencyNs(machine, {0, net::kSlice0}, {2, net::kSlice0}, 64);
-    return std::pair{simulator.now(), machine.stats()};
-  };
-  sim::CausalLog log;
-  auto traced = run(&log);
-  auto bare = run(nullptr);
-  EXPECT_EQ(traced.first, bare.first);
-  EXPECT_EQ(traced.second, bare.second);
-  EXPECT_FALSE(log.records().empty());
-}
-
-TEST(Lookahead, OracleEpochsSeparateResetGenerations) {
-  // Multi-hop pings so at least one crossing has an in-simulation parent
-  // (the first hop's parent is the host-context post, which the checker
-  // skips as unattributed).
-  util::TorusShape shape{4, 1, 1};
-  sim::CausalLog log;
-  sim::Simulator simulator;
-  net::Machine machine(simulator, shape);
-  sim::ScopedCausalOracle oracle(log);
-  net::oneWayLatencyNs(machine, {0, net::kSlice0}, {2, net::kSlice0}, 0);
-  simulator.reset();
-  std::size_t firstGen = log.records().size();
-  net::oneWayLatencyNs(machine, {0, net::kSlice0}, {2, net::kSlice0}, 0);
-  ASSERT_GT(log.records().size(), firstGen);
-  // Seq numbers restart after reset; the epoch keeps the generations from
-  // aliasing in the checker's (epoch, seq) parent lookup.
-  EXPECT_EQ(log.records().front().epoch, 0);
-  EXPECT_EQ(log.records().back().epoch, 1);
-  verify::OracleCheckResult r = verify::checkCausalLog(
-      log.records(), shape, verify::perNodeSharding(shape));
-  EXPECT_TRUE(r.ok());
-  EXPECT_GT(r.crossShardEdges, 0);
 }
 
 }  // namespace

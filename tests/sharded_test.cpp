@@ -1,15 +1,16 @@
 // Sharded (conservative-PDES) kernel: bit-identity against the serial
 // kernel, the layout's refusal edges, the window protocol's failure modes,
-// and the topology budget held against the static lookahead proof.
+// the barrier's lookahead guard, and the topology budget held against the
+// static lookahead proof.
 //
 // The headline claim (DESIGN.md §13): a sharded run is bit-identical to a
 // serial one — same MachineStats, same client memories and counters, same
-// final clock, same activity-trace CSV, same causal-log digest — because
+// final clock, same activity-trace CSV, same schedule digest — because
 // the window barrier replays each window's execution order and hands out
 // exactly the sequence numbers the serial kernel would have issued.
 // Everything here pins that equivalence, plus the "refuse loudly" edges:
 // node-splitting shardings, non-positive budgets, and messages faster than
-// their pair's channel bound.
+// their pair's channel bound (or between shards with no bound at all).
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -17,7 +18,6 @@
 
 #include "net/machine.hpp"
 #include "plan_registry.hpp"
-#include "sim/causal_log.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "trace/activity.hpp"
@@ -54,27 +54,13 @@ struct StormResult {
   sim::Time finalTime = 0;
   std::uint64_t events = 0;
   std::string traceCsv;
-  std::uint64_t causalDigest = 0;
+  std::uint64_t scheduleDigest = 0;
   sim::Simulator::ShardedStats sharded;
 };
 
-// The determinism_test seeded storm, optionally run under a sharding.
-// `shardingName` empty = serial; otherwise "per-node" or "slab-x".
-StormResult trafficStorm(std::uint64_t seed, const std::string& shardingName,
-                         int workers) {
-  util::TorusShape shape{4, 4, 4};
-  sim::Simulator sim;
-  net::Machine m(sim, shape);
-  trace::ActivityTrace trace;
-  m.setTrace(&trace);
-  sim::CausalLog log;
-  sim::ScopedCausalOracle oracle(log);
-  if (!shardingName.empty()) {
-    verify::Sharding sh = shardingName == "per-node"
-                              ? verify::perNodeSharding(shape)
-                              : verify::slabSharding(shape);
-    sim.enableSharded(verify::shardLayout(shape, sh), workers);
-  }
+// Posts the determinism_test seeded storm: 400 writes and accumulations of
+// varying sizes between random clients.
+void postStorm(net::Machine& m, std::uint64_t seed) {
   sim::Rng rng(seed);
   for (int i = 0; i < 400; ++i) {
     int srcNode = int(rng.below(std::uint64_t(m.numNodes())));
@@ -88,6 +74,24 @@ StormResult trafficStorm(std::uint64_t seed, const std::string& shardingName,
     if (bytes != 0) args.payload = net::makeZeroPayload(bytes);
     m.client({srcNode, srcClient}).post(args);
   }
+}
+
+// The storm, optionally run under a sharding. `shardingName` empty =
+// serial; otherwise "per-node" or "slab-x".
+StormResult trafficStorm(std::uint64_t seed, const std::string& shardingName,
+                         int workers) {
+  util::TorusShape shape{4, 4, 4};
+  sim::Simulator sim;
+  net::Machine m(sim, shape);
+  trace::ActivityTrace trace;
+  m.setTrace(&trace);
+  if (!shardingName.empty()) {
+    verify::Sharding sh = shardingName == "per-node"
+                              ? verify::perNodeSharding(shape)
+                              : verify::slabSharding(shape);
+    sim.enableSharded(verify::shardLayout(shape, sh), workers);
+  }
+  postStorm(m, seed);
   StormResult r;
   r.events = sim.run();
   r.sharded = sim.shardedStats();
@@ -96,7 +100,7 @@ StormResult trafficStorm(std::uint64_t seed, const std::string& shardingName,
   r.digest = machineDigest(m);
   r.finalTime = sim.now();
   r.traceCsv = trace.csv();
-  r.causalDigest = log.digest();
+  r.scheduleDigest = sim.scheduleDigest();
   return r;
 }
 
@@ -106,12 +110,12 @@ void expectIdentical(const StormResult& serial, const StormResult& sharded) {
   EXPECT_EQ(serial.finalTime, sharded.finalTime);
   EXPECT_EQ(serial.events, sharded.events);
   EXPECT_EQ(serial.traceCsv, sharded.traceCsv);
-  EXPECT_EQ(serial.causalDigest, sharded.causalDigest);
+  EXPECT_EQ(serial.scheduleDigest, sharded.scheduleDigest);
 }
 
 TEST(ShardedKernel, PerNodeStormIsBitIdenticalToSerial) {
   StormResult serial = trafficStorm(7, "", 0);
-  StormResult sharded = trafficStorm(7, "per-node", 0);
+  StormResult sharded = trafficStorm(7, "per-node", 1);
   expectIdentical(serial, sharded);
   EXPECT_GT(sharded.sharded.windows, 0u);
   EXPECT_GT(sharded.sharded.shardEvents, 0u);
@@ -120,18 +124,20 @@ TEST(ShardedKernel, PerNodeStormIsBitIdenticalToSerial) {
 
 TEST(ShardedKernel, SlabStormIsBitIdenticalToSerial) {
   StormResult serial = trafficStorm(11, "", 0);
-  StormResult sharded = trafficStorm(11, "slab-x", 0);
-  expectIdentical(serial, sharded);
+  for (int workers : {1, 2, 4}) {
+    SCOPED_TRACE(workers);
+    expectIdentical(serial, trafficStorm(11, "slab-x", workers));
+  }
 }
 
 TEST(ShardedKernel, WorkerThreadsMatchTheSingleThreadedWindows) {
-  StormResult zero = trafficStorm(7, "per-node", 0);
+  StormResult one = trafficStorm(7, "per-node", 1);
   StormResult two = trafficStorm(7, "per-node", 2);
   StormResult four = trafficStorm(7, "per-node", 4);
-  expectIdentical(zero, two);
-  expectIdentical(zero, four);
-  EXPECT_EQ(zero.sharded.windows, four.sharded.windows);
-  EXPECT_EQ(zero.sharded.mailsDelivered, four.sharded.mailsDelivered);
+  expectIdentical(one, two);
+  expectIdentical(one, four);
+  EXPECT_EQ(one.sharded.windows, four.sharded.windows);
+  EXPECT_EQ(one.sharded.mailsDelivered, four.sharded.mailsDelivered);
 }
 
 TEST(ShardedKernel, SplitNodeShardingIsRefusedNamingTheViolation) {
@@ -153,15 +159,72 @@ TEST(ShardedKernel, KernelRefusesNonPositiveLookaheadBudget) {
   layout.numShards = 2;
   layout.shardOfNode = {0, 1};
   layout.pairBoundPs[{0, 1}] = 0;  // a zero channel bound poisons the budget
-  EXPECT_THROW(sim.enableSharded(layout), std::invalid_argument);
+  EXPECT_THROW(sim.enableSharded(layout, 1), std::invalid_argument);
   EXPECT_FALSE(sim.shardedEnabled());
+}
+
+TEST(ShardedKernel, KernelRefusesFewerThanOneWorker) {
+  util::TorusShape shape{2, 2, 2};
+  sim::Simulator sim;
+  EXPECT_THROW(sim.enableSharded(verify::shardLayout(
+                                     shape, verify::perNodeSharding(shape)),
+                                 0),
+               std::invalid_argument);
+  EXPECT_FALSE(sim.shardedEnabled());
+}
+
+// --- the barrier's lookahead guard ------------------------------------------
+
+// Runs the seed-7 storm under a hand-edited per-node 4x4x4 layout and
+// returns the std::runtime_error the window barrier threw ("" if none).
+// reset() then discards the poisoned run, as a serve worker would.
+std::string stormRejection(const sim::ShardLayout& layout) {
+  util::TorusShape shape{4, 4, 4};
+  sim::Simulator sim;
+  net::Machine m(sim, shape);
+  sim.enableSharded(layout, 2);
+  postStorm(m, 7);
+  std::string what;
+  try {
+    sim.run();
+  } catch (const std::runtime_error& e) {
+    what = e.what();
+  }
+  sim.reset();
+  EXPECT_FALSE(sim.shardedEnabled());
+  return what;
+}
+
+TEST(ShardedKernel, BarrierRejectsMessagesFasterThanThePairBound) {
+  // A 1 ms bound on every pair: no torus crossing is that slow, so the
+  // first cross-shard message must be refused at the barrier.
+  util::TorusShape shape{4, 4, 4};
+  sim::ShardLayout layout =
+      verify::shardLayout(shape, verify::perNodeSharding(shape));
+  for (auto& [pair, bound] : layout.pairBoundPs) bound = sim::us(1000.0);
+  std::string what = stormRejection(layout);
+  EXPECT_NE(what.find("sharded.lookahead"), std::string::npos) << what;
+  EXPECT_NE(what.find("below the pair's channel bound"), std::string::npos)
+      << what;
+}
+
+TEST(ShardedKernel, BarrierRejectsMessagesBetweenShardsWithNoBound) {
+  // Nodes 0 and 1 are x-neighbours, and the storm crosses their link; with
+  // that pair's bound erased the layout no longer covers the message.
+  util::TorusShape shape{4, 4, 4};
+  sim::ShardLayout layout =
+      verify::shardLayout(shape, verify::perNodeSharding(shape));
+  ASSERT_EQ(layout.pairBoundPs.erase({0, 1}), 1u);
+  std::string what = stormRejection(layout);
+  EXPECT_NE(what.find("sharded.lookahead"), std::string::npos) << what;
+  EXPECT_NE(what.find("holds no channel bound"), std::string::npos) << what;
 }
 
 TEST(ShardedKernel, StepIsRefusedUnderShardedMode) {
   util::TorusShape shape{2, 2, 2};
   sim::Simulator sim;
   sim.enableSharded(
-      verify::shardLayout(shape, verify::perNodeSharding(shape)));
+      verify::shardLayout(shape, verify::perNodeSharding(shape)), 1);
   EXPECT_THROW(sim.step(), std::logic_error);
   sim.disableSharded();
   EXPECT_FALSE(sim.step());  // serial again, idle
@@ -172,7 +235,7 @@ TEST(ShardedKernel, DisableWithPendingShardEventsThrows) {
   sim::Simulator sim;
   net::Machine m(sim, shape);
   sim.enableSharded(
-      verify::shardLayout(shape, verify::perNodeSharding(shape)));
+      verify::shardLayout(shape, verify::perNodeSharding(shape)), 1);
   net::NetworkClient::SendArgs args;
   args.dst = {5, 0};
   args.counterId = 0;
@@ -219,13 +282,14 @@ TEST(ShardedKernel, MachineRefusesShardingWithAFaultModelInstalled) {
   m.setFaultModel(&faults);
   EXPECT_THROW(
       sim.enableSharded(verify::shardLayout(
-          shape, verify::perNodeSharding(shape))),
+                            shape, verify::perNodeSharding(shape)),
+                        1),
       std::logic_error);
   // The refusal rolled sharded mode back entirely.
   EXPECT_FALSE(sim.shardedEnabled());
   m.setFaultModel(nullptr);
   sim.enableSharded(
-      verify::shardLayout(shape, verify::perNodeSharding(shape)));
+      verify::shardLayout(shape, verify::perNodeSharding(shape)), 1);
   EXPECT_THROW(m.setFaultModel(&faults), std::logic_error);
   sim.disableSharded();
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "sim/rng.hpp"
@@ -258,6 +259,7 @@ TEST(Simulator, ResetReturnsTheKernelToAFreshState) {
   // The arena-reuse audit point: a worker running many jobs on one
   // Simulator must observe a reset kernel as indistinguishable from a
   // fresh one — clock at zero, no pending events, no live frames.
+  const std::uint64_t freshDigest = Simulator().scheduleDigest();
   Simulator sim;
   int fired = 0;
   auto looper = [](Simulator& s, int& n) -> Task {
@@ -272,6 +274,7 @@ TEST(Simulator, ResetReturnsTheKernelToAFreshState) {
   EXPECT_EQ(fired, 3);
   EXPECT_GT(sim.now(), 0);
   EXPECT_FALSE(sim.empty());
+  EXPECT_NE(sim.scheduleDigest(), freshDigest);
 
   std::size_t discarded = sim.reset();
   EXPECT_GE(discarded, 2u) << "pending event + live root";
@@ -279,13 +282,15 @@ TEST(Simulator, ResetReturnsTheKernelToAFreshState) {
   EXPECT_TRUE(sim.empty());
   EXPECT_EQ(sim.liveRoots(), 0u);
   EXPECT_EQ(sim.eventsProcessed(), 0u);
+  EXPECT_EQ(sim.scheduleDigest(), freshDigest);
 
   // Discarded work must never fire after the reset.
   sim.run();
   EXPECT_EQ(fired, 3);
 
   // The reset kernel replays a schedule bit-identically to a fresh one:
-  // same event count, same final clock, and a second reset reports clean.
+  // same event count, final clock and schedule digest, and a second reset
+  // reports clean.
   auto replay = [](Simulator& s) {
     int n = 0;
     auto t = [](Simulator& sm, int& k) -> Task {
@@ -296,12 +301,38 @@ TEST(Simulator, ResetReturnsTheKernelToAFreshState) {
     };
     s.spawn(t(s, n));
     std::uint64_t events = s.run();
-    return std::tuple{n, events, s.now()};
+    return std::tuple{n, events, s.now(), s.scheduleDigest()};
   };
   auto fromReset = replay(sim);
   EXPECT_EQ(sim.reset(), 0u) << "drained run left the arena dirty";
   Simulator fresh;
   EXPECT_EQ(fromReset, replay(fresh));
+}
+
+TEST(Simulator, SwappingSameTimeEventsChangesTheScheduleDigest) {
+  // Two events at 10 ns each schedule a follow-up (+5 ns and +7 ns). Which
+  // one runs first decides which follow-up gets which seq: the same event
+  // count, times and final clock, but a different (time, seq) schedule.
+  auto run = [](bool swapped) {
+    Simulator sim;
+    auto a = [&sim] { sim.after(ns(5), [] {}); };
+    auto b = [&sim] { sim.after(ns(7), [] {}); };
+    if (swapped) {
+      sim.at(ns(10), b);
+      sim.at(ns(10), a);
+    } else {
+      sim.at(ns(10), a);
+      sim.at(ns(10), b);
+    }
+    std::uint64_t events = sim.run();
+    return std::tuple{events, sim.now(), sim.scheduleDigest()};
+  };
+  auto [eventsA, endA, digestA] = run(false);
+  auto [eventsB, endB, digestB] = run(true);
+  EXPECT_EQ(eventsA, eventsB);
+  EXPECT_EQ(endA, endB);
+  EXPECT_NE(digestA, digestB);
+  EXPECT_EQ(digestA, std::get<2>(run(false))) << "the digest is deterministic";
 }
 
 TEST(Simulator, ResetIgnoresACancelledEventBuriedUnderALiveOne) {

@@ -36,15 +36,16 @@
 //                       shipped shardings, and that each seeded-unsafe
 //                       sharding fires its diagnostic. Output mirrors to
 //                       VERIFY_lookahead.json (committed golden file).
-//   --oracle            dynamic causal-order cross-check: record a causal
-//                       trace of the live quickstart MD and Fig. 5 ping
-//                       shapes and assert every observed cross-shard link
-//                       edge respects the statically claimed bound; then
-//                       re-run both workloads on the sharded kernel itself
-//                       (per-node and slab-x, 2 workers, layout from the
-//                       torus) and require the live parallel schedule to
-//                       pass the same causal check AND stay bit-identical
-//                       to serial; output mirrors to VERIFY_oracle.json.
+//   --oracle            live sharded-vs-serial identity: run the quickstart
+//                       MD and Fig. 5 ping shapes serially and on the
+//                       sharded kernel (per-node and slab-x, 2 workers,
+//                       layout from the torus, whose window barrier checks
+//                       every cross-shard message against its pair's
+//                       bound) and require equal stats, final clock and
+//                       Simulator::scheduleDigest(); a selftest inflates
+//                       every pair bound to 1 ms and requires the barrier
+//                       to throw sharded.lookahead. Output mirrors to
+//                       VERIFY_oracle.json.
 //   --timing            static critical-path & link-occupancy audit (ISSUE
 //                       9): price every golden plan's happens-before graph
 //                       with the calibrated latency model — critical-path
@@ -56,11 +57,10 @@
 //                       Output mirrors to VERIFY_timing.json (committed
 //                       golden file, like VERIFY_lookahead.json).
 //   --timing-oracle     measured-latency oracle: run the live ping / MD /
-//                       all-reduce schedules (causal-log attribution
-//                       attached, schedule provably unperturbed) and pin
-//                       measured completion >= static lower bound with the
-//                       measured/bound slack inside each family's pinned
-//                       envelope; a seeded inflated bound must be refuted.
+//                       all-reduce schedules and pin measured completion
+//                       >= static lower bound with the measured/bound
+//                       slack inside each family's pinned envelope; a
+//                       seeded inflated bound must be refuted.
 //                       Output mirrors to VERIFY_timing_oracle.json.
 //   --update-goldens [DIR]  regenerate the golden plan snapshots AND the
 //                       committed verify reports (VERIFY_lookahead.json,
@@ -70,8 +70,8 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -80,8 +80,8 @@
 #include "net/latency.hpp"
 #include "net/probe.hpp"
 #include "plan_registry.hpp"
-#include "sim/causal_log.hpp"
 #include "sim/simulator.hpp"
+#include "util/json.hpp"
 #include "verify/checks.hpp"
 #include "verify/lookahead.hpp"
 #include "verify/snapshot.hpp"
@@ -520,31 +520,44 @@ int runLookahead(const std::string& outPath = "VERIFY_lookahead.json") {
   return ok ? 0 : 1;
 }
 
-// --- --oracle: dynamic causal-order cross-check -----------------------------
+// --- --oracle: live sharded-vs-serial identity + barrier-guard selftest ----
 
-/// One live execution of an oracle workload: serial or sharded, with or
-/// without the causal oracle attached.
+/// One live execution of an oracle workload, serial or sharded.
 struct LiveRun {
   sim::Time finalTime = 0;
   net::MachineStats stats;
-  sim::CausalLog log;  ///< filled only when the oracle was attached
+  std::uint64_t scheduleDigest = 0;  ///< Simulator::scheduleDigest()
+  std::uint64_t events = 0;
+  std::uint64_t windows = 0;         ///< sharded windows (0 when serial)
+
+  bool matches(const LiveRun& o) const {
+    return finalTime == o.finalTime && stats == o.stats &&
+           scheduleDigest == o.scheduleDigest;
+  }
 };
 
 struct OracleWorkload {
   std::string name;
   anton::util::TorusShape shape;
-  LiveRun traced;  ///< serial, oracle attached
-  LiveRun bare;    ///< serial, oracle detached (must match traced)
-  bool statsMatch = false;
 };
+
+void finishRun(LiveRun& r, sim::Simulator& simulator, net::Machine& machine) {
+  r.windows = simulator.shardedStats().windows;
+  if (simulator.shardedEnabled()) simulator.disableSharded();
+  r.finalTime = simulator.now();
+  r.stats = machine.stats();
+  r.scheduleDigest = simulator.scheduleDigest();
+  r.events = simulator.eventsProcessed();
+}
 
 /// The quickstart MD configuration, run live for two supersteps — the same
 /// extraction the "quickstart-md" golden plan audits statically. When a
-/// layout is given the run uses the sharded kernel (2 worker threads) with
-/// recovery disarmed: the drop registry is the one cross-shard mutable
-/// fault-model object, and an armed-but-idle watchdog is timing-invisible,
-/// so the result must still be bit-identical to the armed serial run.
-LiveRun runMdWorkload(const anton::util::TorusShape& shape, bool withOracle,
+/// layout is given the run uses the sharded kernel (2 worker threads).
+/// Recovery is disarmed on both sides: the drop registry is the one
+/// cross-shard mutable fault-model object, so sharded MD runs without it,
+/// and the serial run must match it event for event — an armed watchdog's
+/// retracted deadlines never execute, but they do consume sequence numbers.
+LiveRun runMdWorkload(const anton::util::TorusShape& shape,
                       const sim::ShardLayout* layout) {
   LiveRun r;
   anton::sim::Simulator simulator;
@@ -553,28 +566,22 @@ LiveRun runMdWorkload(const anton::util::TorusShape& shape, bool withOracle,
   sp.targetAtoms = 1536;
   sp.seed = 2010;
   anton::md::AntonMdConfig cfg = tools::quickstartMdConfig();
-  if (layout != nullptr) cfg.recoveryTimeoutUs = 0;
+  cfg.recoveryTimeoutUs = 0;
   anton::md::AntonMdApp app(machine, anton::md::buildSyntheticSystem(sp),
                             cfg);
-  std::optional<sim::ScopedCausalOracle> oracle;
-  if (withOracle) oracle.emplace(r.log);
   if (layout != nullptr) simulator.enableSharded(*layout, /*workers=*/2);
   app.runSteps(2);
-  if (layout != nullptr) simulator.disableSharded();
-  r.finalTime = simulator.now();
-  r.stats = machine.stats();
+  finishRun(r, simulator, machine);
   return r;
 }
 
 /// Fig. 5-style counted-write pings on the paper's 8x8x8 torus at 1, 4 and
 /// 12 hops (the probe helpers are the same ones behind the Fig. 5 bench).
-LiveRun runPingWorkload(const anton::util::TorusShape& shape, bool withOracle,
+LiveRun runPingWorkload(const anton::util::TorusShape& shape,
                         const sim::ShardLayout* layout) {
   LiveRun r;
   anton::sim::Simulator simulator;
   net::Machine machine(simulator, shape);
-  std::optional<sim::ScopedCausalOracle> oracle;
-  if (withOracle) oracle.emplace(r.log);
   if (layout != nullptr) simulator.enableSharded(*layout, /*workers=*/2);
   for (anton::util::TorusCoord dst :
        {anton::util::TorusCoord{1, 0, 0}, anton::util::TorusCoord{2, 2, 0},
@@ -582,139 +589,122 @@ LiveRun runPingWorkload(const anton::util::TorusShape& shape, bool withOracle,
     net::oneWayLatencyNs(machine, {0, net::kSlice0},
                          {anton::util::torusIndex(dst, shape), net::kSlice0},
                          64);
-  if (layout != nullptr) simulator.disableSharded();
-  r.finalTime = simulator.now();
-  r.stats = machine.stats();
+  finishRun(r, simulator, machine);
   return r;
 }
 
-LiveRun runWorkload(const OracleWorkload& w, bool withOracle,
+LiveRun runWorkload(const OracleWorkload& w,
                     const sim::ShardLayout* layout = nullptr) {
-  return w.name == "quickstart-md" ? runMdWorkload(w.shape, withOracle, layout)
-                                   : runPingWorkload(w.shape, withOracle, layout);
+  return w.name == "quickstart-md" ? runMdWorkload(w.shape, layout)
+                                   : runPingWorkload(w.shape, layout);
 }
 
-std::string oracleLine(const OracleWorkload& w, const std::string& sharding,
-                       const verify::OracleCheckResult& r) {
+std::string serialOracleLine(const OracleWorkload& w, const LiveRun& r) {
   std::ostringstream os;
-  os << "{\"kind\":\"oracle\",\"workload\":" << JsonReporter::quoted(w.name)
-     << ",\"sharding\":" << JsonReporter::quoted(sharding)
-     << ",\"records\":" << r.recordsSeen
-     << ",\"linkEdges\":" << r.linkEdgesChecked
-     << ",\"crossShardEdges\":" << r.crossShardEdges
-     << ",\"minObservedNs\":" << JsonReporter::number(r.minObservedNs)
-     << ",\"scheduleUnperturbed\":"
-     << (w.traced.finalTime == w.bare.finalTime && w.statsMatch ? "true"
-                                                                : "false")
-     << ",\"violations\":" << r.violations.size()
-     << ",\"ok\":" << (r.ok() ? "true" : "false") << "}";
+  os << "{\"kind\":\"oracle-serial\",\"workload\":"
+     << JsonReporter::quoted(w.name) << ",\"events\":" << r.events
+     << ",\"finalNs\":" << JsonReporter::number(sim::toNs(r.finalTime))
+     << ",\"scheduleDigest\":"
+     << JsonReporter::quoted(anton::util::hex64(r.scheduleDigest)) << "}";
   return os.str();
 }
 
 std::string shardedOracleLine(const OracleWorkload& w,
-                              const std::string& sharding, bool identical,
-                              const verify::OracleCheckResult& r) {
+                              const std::string& sharding,
+                              const LiveRun& serial, const LiveRun& r) {
   std::ostringstream os;
   os << "{\"kind\":\"oracle-sharded\",\"workload\":"
      << JsonReporter::quoted(w.name)
      << ",\"sharding\":" << JsonReporter::quoted(sharding)
-     << ",\"workers\":2"
-     << ",\"records\":" << r.recordsSeen
-     << ",\"linkEdges\":" << r.linkEdgesChecked
-     << ",\"crossShardEdges\":" << r.crossShardEdges
-     << ",\"minObservedNs\":" << JsonReporter::number(r.minObservedNs)
-     << ",\"bitIdenticalToSerial\":" << (identical ? "true" : "false")
-     << ",\"violations\":" << r.violations.size()
-     << ",\"ok\":" << (r.ok() && identical ? "true" : "false") << "}";
+     << ",\"workers\":2,\"windows\":" << r.windows
+     << ",\"statsMatch\":" << (r.stats == serial.stats ? "true" : "false")
+     << ",\"clockMatch\":"
+     << (r.finalTime == serial.finalTime ? "true" : "false")
+     << ",\"scheduleMatch\":"
+     << (r.scheduleDigest == serial.scheduleDigest ? "true" : "false")
+     << ",\"ok\":" << (r.matches(serial) ? "true" : "false") << "}";
   return os.str();
 }
 
-/// Record a causal trace of the live quickstart MD and Fig. 5 ping shapes,
-/// check every observed cross-shard link edge against the same bounds the
-/// static analyzer proves, and confirm the oracle knob did not perturb the
-/// schedule (final clock identical with the knob off). Then re-run each
-/// workload live on the sharded kernel (2 workers, per-node and slab-x,
-/// layout from the torus) and hold the parallel schedule to the same two
-/// standards: its causal log
-/// passes the oracle check, and its result is bit-identical to serial.
+/// The barrier guard's selftest: the Fig. 5 pings on a per-node layout
+/// whose every pair bound is inflated to 1 ms, a lookahead no torus link
+/// can honour. The first cross-shard arrival must be rejected at the window
+/// barrier with a std::runtime_error naming sharded.lookahead. Returns the
+/// error text: "" when nothing was thrown, prefixed with "unexpected: "
+/// when something other than a std::runtime_error was.
+std::string inflatedBoundRejection(const anton::util::TorusShape& shape) {
+  sim::ShardLayout layout =
+      verify::shardLayout(shape, verify::perNodeSharding(shape));
+  for (auto& [pair, bound] : layout.pairBoundPs) bound = sim::us(1000.0);
+  anton::sim::Simulator simulator;
+  net::Machine machine(simulator, shape);
+  simulator.enableSharded(layout, /*workers=*/2);
+  std::string what;
+  try {
+    net::oneWayLatencyNs(machine, {0, net::kSlice0},
+                         {anton::util::torusIndex({4, 4, 4}, shape),
+                          net::kSlice0},
+                         64);
+  } catch (const std::runtime_error& e) {
+    what = e.what();
+  } catch (const std::exception& e) {
+    what = std::string("unexpected: ") + e.what();
+  }
+  simulator.reset();
+  return what;
+}
+
+/// Run the live quickstart MD and Fig. 5 ping shapes serially, then on the
+/// sharded kernel (per-node and slab-x, 2 workers, layout from the torus),
+/// and require each sharded run's stats, final clock and schedule digest to
+/// equal the serial run's. The kernel's window barrier checks every
+/// cross-shard message against its pair's bound while these runs execute;
+/// a selftest with an inflated bound proves that guard fires.
 int runOracle() {
   Emitter em("VERIFY_oracle.json");
-  int violations = 0, selftests = 0, selftestFailures = 0;
-  bool schedulesMatch = true;
+  int mismatches = 0, selftests = 0, selftestFailures = 0;
 
-  std::vector<OracleWorkload> workloads(2);
-  workloads[0].name = "quickstart-md";
-  workloads[0].shape = {4, 4, 4};
-  workloads[1].name = "fig5-ping";
-  workloads[1].shape = {8, 8, 8};
-  for (OracleWorkload& w : workloads) {
-    w.traced = runWorkload(w, /*withOracle=*/true);
-    w.bare = runWorkload(w, /*withOracle=*/false);
-    w.statsMatch = w.traced.stats == w.bare.stats;
-    schedulesMatch = schedulesMatch &&
-                     w.traced.finalTime == w.bare.finalTime && w.statsMatch;
+  std::vector<OracleWorkload> workloads{{"quickstart-md", {4, 4, 4}},
+                                        {"fig5-ping", {8, 8, 8}}};
+  for (const OracleWorkload& w : workloads) {
+    LiveRun serial = runWorkload(w);
+    em.line(serialOracleLine(w, serial));
     for (const verify::Sharding& sh :
          {verify::perNodeSharding(w.shape), verify::slabSharding(w.shape)}) {
-      verify::OracleCheckResult r =
-          verify::checkCausalLog(w.traced.log.records(), w.shape, sh);
-      violations += int(r.violations.size());
-      em.line(oracleLine(w, sh.name, r));
-      for (const verify::Violation& v : r.violations)
-        em.line(findingLine(w.name, v));
-
-      // Live sharded execution under the kernel's topology budget.
       sim::ShardLayout layout = verify::shardLayout(w.shape, sh);
-      OracleWorkload sharded = w;
-      sharded.traced = runWorkload(w, /*withOracle=*/true, &layout);
-      bool identical = sharded.traced.finalTime == w.bare.finalTime &&
-                       sharded.traced.stats == w.bare.stats;
-      schedulesMatch = schedulesMatch && identical;
-      verify::OracleCheckResult rs = verify::checkCausalLog(
-          sharded.traced.log.records(), w.shape, sh);
-      violations += int(rs.violations.size());
-      em.line(shardedOracleLine(w, sh.name, identical, rs));
-      for (const verify::Violation& v : rs.violations)
-        em.line(findingLine(w.name + "-sharded", v));
+      LiveRun sharded = runWorkload(w, &layout);
+      if (!sharded.matches(serial)) ++mismatches;
+      em.line(shardedOracleLine(w, sh.name, serial, sharded));
     }
   }
 
-  // Seeded-unsafe claim: a lookahead nobody can guarantee (1 ms) must make
-  // the oracle flag the very first observed link crossing.
   {
-    const OracleWorkload& w = workloads[0];
-    verify::Sharding inflated =
-        verify::claimedLookaheadSharding(w.shape, 1.0e6);
-    verify::OracleCheckResult r =
-        verify::checkCausalLog(w.traced.log.records(), w.shape, inflated);
-    bool fired = false;
-    for (const verify::Violation& v : r.violations)
-      if (v.check == "oracle.lookahead") fired = true;
+    std::string what = inflatedBoundRejection(workloads[1].shape);
+    bool fired = what.rfind("sharded.lookahead", 0) == 0;
     ++selftests;
     if (!fired) ++selftestFailures;
     std::ostringstream os;
     os << "{\"kind\":\"selftest\",\"plan\":"
-       << JsonReporter::quoted("oracle-inflated-claim")
-       << ",\"expected\":" << JsonReporter::quoted("oracle.lookahead")
-       << ",\"violations\":" << r.violations.size()
+       << JsonReporter::quoted("sharded-inflated-bound")
+       << ",\"expected\":" << JsonReporter::quoted("sharded.lookahead")
+       << ",\"error\":" << JsonReporter::quoted(what)
        << ",\"fired\":" << (fired ? "true" : "false") << "}";
     em.line(os.str());
   }
 
-  bool ok = violations == 0 && selftestFailures == 0 && schedulesMatch;
+  bool ok = mismatches == 0 && selftestFailures == 0;
   std::ostringstream os;
   os << "{\"kind\":\"summary\",\"mode\":\"oracle\",\"workloads\":"
-     << workloads.size() << ",\"violations\":" << violations
+     << workloads.size() << ",\"mismatches\":" << mismatches
      << ",\"selftests\":" << selftests
      << ",\"selftestFailures\":" << selftestFailures
-     << ",\"schedulesMatch\":" << (schedulesMatch ? "true" : "false")
      << ",\"ok\":" << (ok ? "true" : "false") << "}";
   em.line(os.str());
   std::cerr << (ok ? "verify_plans --oracle: OK"
                    : "verify_plans --oracle: FAILED")
-            << " (" << workloads.size() << " workloads, " << violations
-            << " violations, " << selftestFailures << "/" << selftests
-            << " selftest failures, schedules "
-            << (schedulesMatch ? "unperturbed" : "PERTURBED") << ")\n";
+            << " (" << workloads.size() << " workloads, " << mismatches
+            << " sharded runs differing from serial, " << selftestFailures
+            << "/" << selftests << " selftest failures)\n";
   return ok ? 0 : 1;
 }
 
@@ -951,32 +941,24 @@ struct TimingOracleCase {
   std::string name;    ///< case label, e.g. "fig5-ping-4-4-4"
   double measuredNs = 0.0;
   double boundNs = 0.0;
-  bool unperturbed = false;  ///< oracle on/off schedules bit-identical
-  std::uint64_t records = 0;  ///< causal-log records attributed
 };
 
-double pingCaseNs(anton::util::TorusCoord corner, sim::CausalLog* log,
-                  net::MachineStats* stats) {
+double pingCaseNs(anton::util::TorusCoord corner) {
   anton::sim::Simulator simulator;
   net::Machine machine(simulator, {8, 8, 8});
-  std::optional<sim::ScopedCausalOracle> oracle;
-  if (log != nullptr) oracle.emplace(*log);
-  double ns = net::oneWayLatencyNs(
+  return net::oneWayLatencyNs(
       machine, {0, net::kSlice0},
       {anton::util::torusIndex(corner, {8, 8, 8}), net::kSlice0},
       /*payloadBytes=*/0);
-  *stats = machine.stats();
-  return ns;
 }
 
 struct MdMeasure {
   double finalNs = 0.0;
-  net::MachineStats stats;
   bool worstCaseStep = false;  ///< a step ran long-range + thermostat +
                                ///< migration (the extracted template round)
 };
 
-MdMeasure mdCaseNs(int steps, sim::CausalLog* log) {
+MdMeasure mdCaseNs(int steps) {
   anton::sim::Simulator simulator;
   net::Machine machine(simulator, {4, 4, 4});
   anton::md::SyntheticSystemParams sp;
@@ -984,23 +966,18 @@ MdMeasure mdCaseNs(int steps, sim::CausalLog* log) {
   sp.seed = 2010;
   anton::md::AntonMdApp app(machine, anton::md::buildSyntheticSystem(sp),
                             tools::quickstartMdConfig());
-  std::optional<sim::ScopedCausalOracle> oracle;
-  if (log != nullptr) oracle.emplace(*log);
   app.runSteps(steps);
   MdMeasure m;
   m.finalNs = sim::toNs(simulator.now());
-  m.stats = machine.stats();
   for (const anton::md::StepTiming& st : app.stepTimings())
     if (st.longRange && st.thermostat && st.migration) m.worstCaseStep = true;
   return m;
 }
 
-double allReduceCaseNs(sim::CausalLog* log, net::MachineStats* stats) {
+double allReduceCaseNs() {
   anton::sim::Simulator arena;
   net::Machine machine(arena, {2, 2, 2});
   core::DimOrderedAllReduce reduce(machine);
-  std::optional<sim::ScopedCausalOracle> oracle;
-  if (log != nullptr) oracle.emplace(*log);
   const int n = machine.numNodes();
   std::vector<std::vector<double>> out;
   out.resize(std::size_t(n));
@@ -1010,20 +987,17 @@ double allReduceCaseNs(sim::CausalLog* log, net::MachineStats* stats) {
   };
   for (int node = 0; node < n; ++node) arena.spawn(task(node));
   arena.run();
-  *stats = machine.stats();
   return sim::toNs(arena.now());
 }
 
-/// Run the live ping / MD / all-reduce schedules with causal-log
-/// attribution and enforce the soundness contract of the static bound:
-/// measured completion >= analyzeTiming's lower bound, with the
-/// measured/bound slack ratio inside the family's pinned envelope, and the
-/// oracle knob itself leaving the schedule bit-identical. A seeded inflated
-/// bound must be refuted by the live measurement.
+/// Run the live ping / MD / all-reduce schedules and enforce the soundness
+/// contract of the static bound: measured completion >= analyzeTiming's
+/// lower bound, with the measured/bound slack ratio inside the family's
+/// pinned envelope. A seeded inflated bound must be refuted by the live
+/// measurement.
 int runTimingOracle() {
   Emitter em("VERIFY_timing_oracle.json");
   int violations = 0, selftests = 0, selftestFailures = 0;
-  bool schedulesMatch = true;
   std::vector<TimingOracleCase> cases;
   double measured1HopNs = 0.0;  // reused by the inflated-bound selftest
 
@@ -1038,12 +1012,7 @@ int runTimingOracle() {
     verify::TimingOptions opts;
     opts.rounds = 1;
     c.boundNs = verify::analyzeTiming(plan, opts).criticalPathNs;
-    sim::CausalLog log;
-    net::MachineStats stats, statsBare;
-    c.measuredNs = pingCaseNs(corner, &log, &stats);
-    double bare = pingCaseNs(corner, nullptr, &statsBare);
-    c.unperturbed = c.measuredNs == bare && stats == statsBare;
-    c.records = std::uint64_t(log.records().size());
+    c.measuredNs = pingCaseNs(corner);
     if (corner == anton::util::TorusCoord{1, 0, 0})
       measured1HopNs = c.measuredNs;
     cases.push_back(std::move(c));
@@ -1061,18 +1030,9 @@ int runTimingOracle() {
     c.boundNs =
         verify::analyzeTiming(tools::buildNamedPlan("quickstart-md"), opts)
             .criticalPathNs;
-    sim::CausalLog log;
-    MdMeasure m = mdCaseNs(2, &log);
-    if (!m.worstCaseStep) {
-      // Cadences guarantee a worst-case step within one migration interval.
-      log = sim::CausalLog();
-      m = mdCaseNs(8, &log);
-      MdMeasure bare = mdCaseNs(8, nullptr);
-      c.unperturbed = m.finalNs == bare.finalNs && m.stats == bare.stats;
-    } else {
-      MdMeasure bare = mdCaseNs(2, nullptr);
-      c.unperturbed = m.finalNs == bare.finalNs && m.stats == bare.stats;
-    }
+    MdMeasure m = mdCaseNs(2);
+    // Cadences guarantee a worst-case step within one migration interval.
+    if (!m.worstCaseStep) m = mdCaseNs(8);
     if (!m.worstCaseStep) {
       verify::Violation v;
       v.check = "timing.bound";
@@ -1083,7 +1043,6 @@ int runTimingOracle() {
       em.line(findingLine(c.name, v));
     }
     c.measuredNs = m.finalNs;
-    c.records = std::uint64_t(log.records().size());
     cases.push_back(std::move(c));
   }
 
@@ -1097,12 +1056,7 @@ int runTimingOracle() {
     c.boundNs = verify::analyzeTiming(
                     tools::buildNamedPlan("table2-allreduce-2x2x2"), opts)
                     .criticalPathNs;
-    sim::CausalLog log;
-    net::MachineStats stats, statsBare;
-    c.measuredNs = allReduceCaseNs(&log, &stats);
-    double bare = allReduceCaseNs(nullptr, &statsBare);
-    c.unperturbed = c.measuredNs == bare && stats == statsBare;
-    c.records = std::uint64_t(log.records().size());
+    c.measuredNs = allReduceCaseNs();
     cases.push_back(std::move(c));
   }
 
@@ -1130,7 +1084,6 @@ int runTimingOracle() {
       vs.push_back(std::move(v));
     }
     violations += int(vs.size());
-    schedulesMatch = schedulesMatch && c.unperturbed;
     std::ostringstream os;
     os << "{\"kind\":\"timing-oracle\",\"family\":"
        << JsonReporter::quoted(c.family)
@@ -1139,8 +1092,6 @@ int runTimingOracle() {
        << ",\"boundNs\":" << JsonReporter::number(c.boundNs)
        << ",\"ratio\":" << JsonReporter::number(ratio)
        << ",\"maxRatio\":" << JsonReporter::number(env.maxRatio)
-       << ",\"records\":" << c.records << ",\"scheduleUnperturbed\":"
-       << (c.unperturbed ? "true" : "false")
        << ",\"violations\":" << vs.size()
        << ",\"ok\":" << (vs.empty() ? "true" : "false") << "}";
     em.line(os.str());
@@ -1171,21 +1122,19 @@ int runTimingOracle() {
     em.line(os.str());
   }
 
-  bool ok = violations == 0 && selftestFailures == 0 && schedulesMatch;
+  bool ok = violations == 0 && selftestFailures == 0;
   std::ostringstream os;
   os << "{\"kind\":\"summary\",\"mode\":\"timing-oracle\",\"cases\":"
      << cases.size() << ",\"violations\":" << violations
      << ",\"selftests\":" << selftests
      << ",\"selftestFailures\":" << selftestFailures
-     << ",\"schedulesMatch\":" << (schedulesMatch ? "true" : "false")
      << ",\"ok\":" << (ok ? "true" : "false") << "}";
   em.line(os.str());
   std::cerr << (ok ? "verify_plans --timing-oracle: OK"
                    : "verify_plans --timing-oracle: FAILED")
             << " (" << cases.size() << " cases, " << violations
             << " violations, " << selftestFailures << "/" << selftests
-            << " selftest failures, schedules "
-            << (schedulesMatch ? "unperturbed" : "PERTURBED") << ")\n";
+            << " selftest failures)\n";
   return ok ? 0 : 1;
 }
 
