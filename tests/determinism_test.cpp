@@ -224,6 +224,11 @@ TEST(Determinism, MdPositionsBitIdenticalWithZeroFaultPlan) {
   }
 }
 
+// The armed-but-idle run's executed schedule. Its deadlines are cancelled
+// events that still take sequence numbers, so it differs from the
+// recovery-free digest; the pin fixes the armed wait's event order.
+constexpr std::uint64_t kArmedMdScheduleDigest = 0x029d3bf02cc0bc0dULL;
+
 TEST(Determinism, MdRecoveryArmedButIdleIsTimingInvisible) {
   // Erasure recovery armed (watchdogs on every counted wait, drop registry
   // installed) under a zero-fault plan: no drop ever occurs, so the
@@ -248,6 +253,7 @@ TEST(Determinism, MdRecoveryArmedButIdleIsTimingInvisible) {
     std::vector<double> stepUs;
     sim::Time finalTime = 0;
     std::uint64_t timeouts = 0;
+    std::uint64_t scheduleDigest = 0;
   };
   auto run = [&](bool recovery, fault::FaultPlan* plan) {
     md::AntonMdConfig c = cfg;
@@ -259,7 +265,8 @@ TEST(Determinism, MdRecoveryArmedButIdleIsTimingInvisible) {
     if (plan != nullptr) m.setFaultModel(plan);
     md::AntonMdApp app(m, sys, c);
     app.runSteps(3);
-    Out out{app.gatherSystem(), {}, sim.now(), app.recoveryStats().timeouts};
+    Out out{app.gatherSystem(), {}, sim.now(), app.recoveryStats().timeouts,
+            sim.scheduleDigest()};
     for (const md::StepTiming& t : app.stepTimings())
       out.stepUs.push_back(t.totalUs);
     return out;
@@ -269,6 +276,7 @@ TEST(Determinism, MdRecoveryArmedButIdleIsTimingInvisible) {
   Out armed = run(true, &idle);
 
   EXPECT_EQ(armed.timeouts, 0u);
+  EXPECT_EQ(armed.scheduleDigest, kArmedMdScheduleDigest);
   EXPECT_EQ(bare.finalTime, armed.finalTime);
   ASSERT_EQ(bare.stepUs.size(), armed.stepUs.size());
   for (std::size_t i = 0; i < bare.stepUs.size(); ++i)
@@ -280,6 +288,63 @@ TEST(Determinism, MdRecoveryArmedButIdleIsTimingInvisible) {
     EXPECT_EQ(bare.sys.velocities[std::size_t(i)],
               armed.sys.velocities[std::size_t(i)]);
   }
+}
+
+// Three quickstart-shaped MD supersteps on a lossy machine (retransmit cap
+// of one, so traversals drop packet replicas) with the fault sweep's MD
+// recovery budget armed: waits time out, replay from the drop registry and
+// forgive progress rounds. The pins fix the whole armed-wait schedule under
+// loss: executed events, final clock and recovery tally; the trajectory is
+// the fault-free one.
+constexpr std::uint64_t kLossyMdScheduleDigest = 0x1b6ececa90364324ULL;
+constexpr sim::Time kLossyMdFinalTime = 30046344907;
+constexpr std::uint64_t kLossyMdTimeouts = 1746;
+constexpr std::uint64_t kLossyMdResends = 4677;
+constexpr std::uint64_t kLossyMdProgressRounds = 403;
+constexpr std::uint64_t kLossyMdDrops = 3428;
+
+TEST(Determinism, LossyArmedMdMatchesThePinnedSchedule) {
+  md::SyntheticSystemParams sp;
+  sp.targetAtoms = 1536;
+  sp.temperature = 0.8;
+  sp.seed = 11;
+  md::AntonMdConfig cfg;
+  cfg.force.cutoff = 2.2;
+  cfg.ewald.grid = 16;
+  cfg.homeBoxMarginFrac = 0.10;
+  cfg.migrationInterval = 2;
+  cfg.longRangeInterval = 2;
+  cfg.recoveryTimeoutUs = 1000.0;
+  cfg.recoveryMaxResends = 40;
+  cfg.recoveryBackoffUs = 0.5;
+
+  const double ber = 2e-4;
+  fault::FaultPlan plan({.seed = 0x3d5eed + std::uint64_t(ber * 1e9),
+                         .bitErrorRate = ber,
+                         .maxRetransmits = 1});
+  sim::Simulator sim;
+  net::Machine m(sim, {4, 4, 4});
+  m.setFaultModel(&plan);
+  md::AntonMdApp app(m, md::buildSyntheticSystem(sp), cfg);
+  app.runSteps(3);
+  md::MDSystem out = app.gatherSystem();
+
+  std::uint64_t h = util::kFnvOffsetBasis;
+  for (const std::vector<util::Vec3>* vs : {&out.positions, &out.velocities})
+    for (const util::Vec3& v : *vs)
+      for (double c : {v.x, v.y, v.z})
+        h = mix(h, std::bit_cast<std::uint64_t>(c));
+  const core::RecoveryStats& rs = app.recoveryStats();
+  EXPECT_EQ(app.stepsDone(), 3);
+  EXPECT_EQ(sim.scheduleDigest(), kLossyMdScheduleDigest);
+  EXPECT_EQ(sim.now(), kLossyMdFinalTime);
+  // Replays carry the original payloads: the fault-free trajectory pin.
+  EXPECT_EQ(h, kMdStateDigest);
+  EXPECT_EQ(app.dropsObserved(), kLossyMdDrops);
+  EXPECT_EQ(rs.timeouts, kLossyMdTimeouts);
+  EXPECT_EQ(rs.resends, kLossyMdResends);
+  EXPECT_EQ(rs.progressRounds, kLossyMdProgressRounds);
+  EXPECT_EQ(rs.hardFailures, 0u);
 }
 
 // --- sharded kernel: the full MD pipeline, serial vs parallel ---------------
