@@ -1,22 +1,22 @@
 // Reliability sweep: link bit-error rate vs. end-to-end latency and retry
 // overhead, on the Fig. 5 single-hop ping-pong and on the 8x8x8 32-byte
 // dimension-ordered all-reduce. Also demonstrates link-outage handling
-// (stall vs. degraded-mode reroute), the counted-write watchdog, and — with
-// a retransmit cap tight enough that links actually fail — the end-to-end
-// erasure-recovery path on armed collectives (FFT forward+inverse pair,
-// dimension-ordered all-reduce) and on full MD steps: every operation must
-// complete via resend (zero aborts), bit-identically, and the sweep prices
-// the recovery in us. Emits BENCH_fault.json, BENCH_fault_collectives.json
+// (stall vs. degraded-mode reroute), the counted-wait timeout diagnosis,
+// and — with a retransmit cap tight enough that links actually fail — the
+// end-to-end erasure-recovery path on armed collectives (FFT
+// forward+inverse pair, dimension-ordered all-reduce) and on full MD steps:
+// every operation must complete via resend (zero aborts), bit-identically,
+// and the sweep prices the recovery in us. Emits BENCH_fault.json, BENCH_fault_collectives.json
 // and BENCH_fault_md.json; the zero-BER rows must land exactly on the
 // calibrated fault-free anchors (162 ns ping, Table 2 all-reduce, the
 // recovery-free pair/step times).
 #include "bench_common.hpp"
 
+#include <map>
 #include <vector>
 
 #include "core/allreduce.hpp"
 #include "core/recovery.hpp"
-#include "core/watchdog.hpp"
 #include "fault/plan.hpp"
 #include "fault/report.hpp"
 #include "fft/distributed.hpp"
@@ -351,23 +351,32 @@ int main() {
   if (rerouted == 0 || rerouteNs >= stallNs) ok = false;
 
   // Watchdog: a counted write that never completes produces a diagnostic.
+  // The wait is armed with no resend budget and nothing to replay, so its
+  // first timeout fails it with the diagnosis. The one packet that comes
+  // lands before the wait starts: an arrival during the round would be
+  // progress, forgiven once.
   {
     sim::Simulator sim;
     net::Machine m(sim, {4, 4, 4});
     net::NetworkClient& dst = m.client({0, net::kSlice0});
-    core::WatchdogReport report;
-    auto waiter = [&]() -> sim::Task {
-      core::CountedWriteWatchdog wd(dst, 0, sim::us(5));
-      wd.expectFrom(1, 2);
-      wd.expectFrom(2, 2);
-      report = co_await wd.wait(4);
-    };
-    sim.spawn(waiter());
     net::NetworkClient::SendArgs args;
     args.dst = dst.addr();
     args.counterId = 0;
     m.client({1, net::kSlice0}).post(args);  // 1 of the 4 expected packets
     sim.run();
+    core::DropRegistry reg(m);
+    core::RecoveryHooks hooks;
+    hooks.registry = &reg;
+    hooks.config.timeout = sim::us(5);
+    hooks.config.maxResends = 0;
+    const std::map<int, std::uint64_t> bySource{{1, 2}, {2, 2}};
+    sim.spawn(core::awaitCounted(dst, 0, 4, bySource, hooks));
+    core::WatchdogReport report;
+    try {
+      sim.run();
+    } catch (const core::RecoveryFailure& failure) {
+      report = failure.report;
+    }
     std::cout << "watchdog: " << report.describe() << "\n";
     if (!report.timedOut || report.arrived != 1) ok = false;
   }

@@ -27,7 +27,10 @@ net::PayloadPtr packDoubles(std::span<const double> xs) {
 
 DimOrderedAllReduce::DimOrderedAllReduce(net::Machine& machine,
                                          AllReduceConfig cfg)
-    : machine_(machine), cfg_(cfg), rounds_(std::size_t(machine.numNodes())) {
+    : machine_(machine),
+      cfg_(cfg),
+      rounds_(std::size_t(machine.numNodes())),
+      bySource_(std::size_t(machine.numNodes())) {
   if (cfg_.maxBytes > net::kMaxPayloadBytes)
     throw std::invalid_argument("all-reduce payload exceeds packet payload");
   installPatterns();
@@ -204,21 +207,19 @@ sim::Task DimOrderedAllReduce::run(int nodeIdx, std::vector<double> in,
 
     std::uint64_t target =
         ++rounds_[std::size_t(nodeIdx)][std::size_t(dim)] * std::uint64_t(n - 1);
-    {
-      // One broadcast replica per line peer per round, cumulative. The map
-      // must outlive the await (awaitCounted takes it by reference).
-      std::map<int, std::uint64_t> bySource;
-      if (recovery_.armed()) {
-        const std::uint64_t r = rounds_[std::size_t(nodeIdx)][std::size_t(dim)];
-        for (int k = 0; k < n; ++k) {
-          if (k == pos) continue;
-          util::TorusCoord jc = coord;
-          jc[dim] = k;
-          bySource[util::torusIndex(jc, shape)] = r;
-        }
+    std::map<int, std::uint64_t>& bySource =
+        bySource_[std::size_t(nodeIdx)][std::size_t(dim)];
+    if (recovery_.armed()) {
+      // One broadcast replica per line peer per round, cumulative.
+      const std::uint64_t r = rounds_[std::size_t(nodeIdx)][std::size_t(dim)];
+      for (int k = 0; k < n; ++k) {
+        if (k == pos) continue;
+        util::TorusCoord jc = coord;
+        jc[dim] = k;
+        bySource[util::torusIndex(jc, shape)] = r;
       }
-      co_await awaitCounted(slice, cfg_.counterId, target, bySource, recovery_);
     }
+    co_await awaitCounted(slice, cfg_.counterId, target, bySource, recovery_);
 
     // Redundant ordered sum across line positions: identical on every node.
     if (words != 0) {

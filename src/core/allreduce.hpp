@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <span>
 #include <vector>
 
@@ -75,6 +76,10 @@ class DimOrderedAllReduce {
   /// Per node, per dimension: completed line-broadcast rounds (drives the
   /// cumulative counter thresholds and the double-buffer parity).
   std::vector<std::array<std::uint64_t, 3>> rounds_;
+  /// Per node, per dimension: the armed line wait's cumulative per-source
+  /// expectations. The key set (line peers) never changes, so refreshing
+  /// it each round allocates nothing after the first.
+  std::vector<std::array<std::map<int, std::uint64_t>, 3>> bySource_;
   RecoveryHooks recovery_;
 };
 

@@ -9,25 +9,23 @@
 //     observer. Every dropped replica is recorded per denied receiver (for
 //     multicast, only the subtree beyond the failed link is denied — the
 //     receivers before it got their copy and must not be re-bumped).
-//   - CountedWriteWatchdog (core/watchdog.hpp): diagnoses which sources a
-//     timed-out counted wait is still owed packets from.
-//   - RecoverableCountedWrite / awaitCounted: the retry loop — wait with a
-//     deadline, diagnose, replay exactly the lost payloads from the
-//     registry (degraded-routed, so replays avoid the link that ate the
-//     original), and hard-fail with a full report when the bounded resend
-//     budget is exhausted.
+//   - awaitCounted: the counted wait. Armed, each attempt races the counter
+//     against a deadline; a timeout diagnoses which declared sources are
+//     still short (WatchdogReport), replays exactly the lost payloads from
+//     the registry (degraded-routed, so replays avoid the link that ate the
+//     original), and hard-fails with that report (RecoveryFailure) when the
+//     bounded resend budget is exhausted.
 //
-// Disarmed (no registry), every wait degenerates to a plain counter poll
-// with bit-identical timing — the zero-fault path is untouched.
+// Disarmed (no registry), the wait is a plain counter poll with
+// bit-identical timing — the zero-fault path is untouched.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
-#include "core/watchdog.hpp"
 #include "net/client.hpp"
 #include "net/packet.hpp"
 #include "sim/task.hpp"
@@ -41,7 +39,7 @@ namespace anton::core {
 
 /// Per-wait recovery policy.
 struct RecoveryConfig {
-  sim::Time timeout = 0;          ///< per-attempt watchdog deadline
+  sim::Time timeout = 0;          ///< per-attempt deadline
   int maxResends = 4;             ///< replay rounds before hard failure
   sim::Time resendBackoff = 0;    ///< extra deadline added per retry round
   bool rerouteOnTimeout = false;  ///< flip degraded routing on first timeout
@@ -49,7 +47,7 @@ struct RecoveryConfig {
 
 /// Aggregate recovery activity (all exactly zero on a fault-free run).
 struct RecoveryStats {
-  std::uint64_t timeouts = 0;      ///< watchdog deadlines that fired
+  std::uint64_t timeouts = 0;      ///< deadlines that fired
   std::uint64_t resends = 0;       ///< packets replayed from the registry
   std::uint64_t hardFailures = 0;  ///< waits that exhausted their budget
   /// Timed-out rounds forgiven because the counter advanced during the
@@ -63,9 +61,32 @@ struct RecoveryStats {
   }
 };
 
+/// Diagnosis of a timed-out counted wait: the per-source shortfall, plus
+/// the waiting client and counter so recovery can locate the lost replicas.
+struct WatchdogReport {
+  bool timedOut = false;
+  std::uint64_t expected = 0;  ///< the counter threshold waited for
+  std::uint64_t arrived = 0;   ///< counter value when the race settled
+  sim::Time resolvedAt = 0;    ///< simulated time of resolution
+  net::ClientAddr dst;         ///< the waiting client
+  int counterId = net::kNoCounter;
+
+  /// One source that delivered fewer counted packets than declared.
+  struct MissingSource {
+    int node = 0;
+    std::uint64_t expected = 0;
+    std::uint64_t arrived = 0;
+  };
+  std::vector<MissingSource> missing;
+
+  /// Human-readable one-line summary ("... TIMED OUT ...; missing: node 2
+  /// (0/2)").
+  std::string describe() const;
+};
+
 /// Sender-side replay buffer: installs itself as the machine's drop
 /// observer and records every dropped replica per denied receiver, keyed by
-/// (counter, source node, receiver) for the watchdog diagnosis to consume.
+/// (counter, source node, receiver) for the timeout diagnosis to consume.
 class DropRegistry {
  public:
   explicit DropRegistry(net::Machine& machine);
@@ -101,8 +122,8 @@ class DropRegistry {
   std::uint64_t drops_ = 0;
 };
 
-/// Thrown (out of Simulator::run) when a recoverable wait exhausts its
-/// resend budget; carries the final timeout diagnosis.
+/// Thrown (out of Simulator::run) when an armed wait exhausts its resend
+/// budget; carries the final timeout diagnosis.
 class RecoveryFailure : public std::runtime_error {
  public:
   explicit RecoveryFailure(WatchdogReport r)
@@ -110,50 +131,6 @@ class RecoveryFailure : public std::runtime_error {
                            r.describe()),
         report(std::move(r)) {}
   WatchdogReport report;
-};
-
-/// Replay every registered drop named missing by `report`: each lost
-/// replica is re-posted by its original sender as a degraded-routed unicast
-/// to exactly the denied receiver (re-multicasting would re-bump receivers
-/// that already got their copy). Returns the number of packets replayed —
-/// zero when the shortfall is not in the registry (e.g. the upstream sender
-/// is itself still recovering).
-std::size_t resendFromRegistry(net::Machine& machine, DropRegistry& registry,
-                               const WatchdogReport& report);
-
-/// One counted-write wait with bounded erasure recovery: watchdog-guarded
-/// attempts, a resend callback per timeout, RecoveryFailure on exhaustion.
-class RecoverableCountedWrite {
- public:
-  using ResendFn = std::function<std::size_t(const WatchdogReport&)>;
-
-  RecoverableCountedWrite(net::NetworkClient& client, int counterId,
-                          RecoveryConfig cfg)
-      : client_(client), counterId_(counterId), cfg_(cfg) {}
-
-  /// Declare the cumulative per-source expectation (see
-  /// CountedWriteWatchdog::expectFrom).
-  void expectFrom(int srcNode, std::uint64_t expected) {
-    expected_[srcNode] = expected;
-  }
-
-  /// Await counters[id] >= target. Each timeout invokes `resend` with the
-  /// diagnosis (typically resendFromRegistry) and re-arms with the deadline
-  /// stretched by resendBackoff per charged round. A round during which the
-  /// counter advanced AND the replay found nothing lost is progress-bound
-  /// (an upstream cascade still draining) and is forgiven — it does not
-  /// count against maxResends; after maxResends charged rounds the wait
-  /// throws RecoveryFailure.
-  sim::Task await(std::uint64_t target, const ResendFn& resend);
-
-  const RecoveryStats& stats() const { return stats_; }
-
- private:
-  net::NetworkClient& client_;
-  int counterId_;
-  RecoveryConfig cfg_;
-  std::map<int, std::uint64_t> expected_;
-  RecoveryStats stats_;
 };
 
 /// One shared arming handle for a subsystem's counted waits: a registry to
@@ -166,11 +143,24 @@ struct RecoveryHooks {
   bool armed() const { return registry != nullptr; }
 };
 
-/// THE counted wait of the collectives: a plain counter poll when `hooks`
-/// is disarmed (schedule-identical to recovery-free code), a full
-/// RecoverableCountedWrite against the hooks' registry when armed.
-/// `bySource` (cumulative per-source expectations; ignored when disarmed)
-/// is taken by reference and must outlive the co_await.
+/// THE counted wait: await counters[counterId] >= target on `client`.
+///
+/// Disarmed `hooks`: a plain waitCounter, schedule-identical to
+/// recovery-free code. Armed: each attempt parks one counter waiter, then
+/// one cancellable deadline of timeout + spent * resendBackoff; whichever
+/// fires first retracts the other. When the counter wins, that is all.
+/// When the deadline wins, the wait flips degraded routing (if
+/// rerouteOnTimeout), diagnoses every source declared in `bySource`
+/// (cumulative per-source packet expectations) and replays the registry's
+/// drops toward this client. A round during which the counter advanced AND
+/// nothing was replayed is progress-bound (an upstream cascade still
+/// draining) and is forgiven; after maxResends charged rounds the wait
+/// throws RecoveryFailure. Counts go to `hooks.stats` when set. The timeout
+/// must be at least the client's poll latency, or a met counter could never
+/// beat its deadline (std::invalid_argument otherwise).
+///
+/// `bySource` and `hooks` are taken by reference and must outlive the
+/// co_await.
 sim::Task awaitCounted(net::NetworkClient& client, int counterId,
                        std::uint64_t target,
                        const std::map<int, std::uint64_t>& bySource,

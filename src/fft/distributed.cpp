@@ -16,7 +16,8 @@ DistributedFft3D::DistributedFft3D(net::Machine& machine, int gx, int gy,
       cfg_(cfg),
       g_{gx, gy, gz},
       home_(std::size_t(machine.numNodes())),
-      rounds_(std::size_t(machine.numNodes())) {
+      rounds_(std::size_t(machine.numNodes())),
+      bySource_(std::size_t(machine.numNodes())) {
   const util::TorusShape& shape = machine.shape();
   for (int d = 0; d < 3; ++d) {
     if (g_[std::size_t(d)] <= 0 || !std::has_single_bit(unsigned(g_[std::size_t(d)])))
@@ -289,22 +290,18 @@ sim::Task DistributedFft3D::run(int nodeIdx, bool inverse) {
     const std::uint64_t gatherExpected =
         std::uint64_t(myOwned) * std::uint64_t(p.ringSize) *
         std::uint64_t(p.packetsPerSegment);
-    {
-      // Every ring peer (self included) owes my-owned-lines segments; the
-      // map must outlive the await (awaitCounted takes it by reference).
-      std::map<int, std::uint64_t> gatherBySource;
-      if (recovery_.armed() && myOwned != 0) {
-        for (int o = 0; o < p.ringSize; ++o) {
-          util::TorusCoord oc = coord;
-          oc[d] = o;
-          gatherBySource[util::torusIndex(oc, shape)] =
-              round * std::uint64_t(myOwned) *
-              std::uint64_t(p.packetsPerSegment);
-        }
+    RingSources& sources = bySource_[std::size_t(nodeIdx)][std::size_t(d)];
+    if (recovery_.armed() && myOwned != 0) {
+      // Every ring peer (self included) owes my-owned-lines segments.
+      for (int o = 0; o < p.ringSize; ++o) {
+        util::TorusCoord oc = coord;
+        oc[d] = o;
+        sources.gather[util::torusIndex(oc, shape)] =
+            round * std::uint64_t(myOwned) * std::uint64_t(p.packetsPerSegment);
       }
-      co_await core::awaitCounted(slice, gatherCtr, round * gatherExpected,
-                                  gatherBySource, recovery_);
     }
+    co_await core::awaitCounted(slice, gatherCtr, round * gatherExpected,
+                                sources.gather, recovery_);
 
     // --- compute: 1D FFTs on my owned lines ------------------------------
     std::vector<std::vector<Complex>> lines(static_cast<std::size_t>(myOwned));
@@ -345,24 +342,21 @@ sim::Task DistributedFft3D::run(int nodeIdx, bool inverse) {
 
     const std::uint64_t scatterExpected =
         std::uint64_t(p.linesPerBlock) * std::uint64_t(p.packetsPerSegment);
-    {
+    if (recovery_.armed()) {
       // Each owning ring peer returns its owned lines' segments to me.
-      std::map<int, std::uint64_t> scatterBySource;
-      if (recovery_.armed()) {
-        for (int o = 0; o < p.ringSize; ++o) {
-          const std::uint64_t owned = std::uint64_t(
-              p.linesPerBlock / p.ringSize +
-              (o < p.linesPerBlock % p.ringSize ? 1 : 0));
-          if (owned == 0) continue;
-          util::TorusCoord oc = coord;
-          oc[d] = o;
-          scatterBySource[util::torusIndex(oc, shape)] =
-              round * owned * std::uint64_t(p.packetsPerSegment);
-        }
+      for (int o = 0; o < p.ringSize; ++o) {
+        const std::uint64_t owned =
+            std::uint64_t(p.linesPerBlock / p.ringSize +
+                          (o < p.linesPerBlock % p.ringSize ? 1 : 0));
+        if (owned == 0) continue;
+        util::TorusCoord oc = coord;
+        oc[d] = o;
+        sources.scatter[util::torusIndex(oc, shape)] =
+            round * owned * std::uint64_t(p.packetsPerSegment);
       }
-      co_await core::awaitCounted(slice, scatterCtr, round * scatterExpected,
-                                  scatterBySource, recovery_);
     }
+    co_await core::awaitCounted(slice, scatterCtr, round * scatterExpected,
+                                sources.scatter, recovery_);
 
     // --- unpack the scatter region into the home block -------------------
     for (int lid = 0; lid < p.linesPerBlock; ++lid) {

@@ -16,6 +16,7 @@
 #include <array>
 #include <complex>
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "core/recovery.hpp"
@@ -120,6 +121,14 @@ class DistributedFft3D {
   std::array<DimPlan, 3> plan_;
   std::vector<std::vector<Complex>> home_;
   std::vector<std::array<std::uint64_t, 3>> rounds_;
+  /// Cumulative per-source expectations of one pass's armed gather and
+  /// scatter waits. Their key sets (ring peers) never change, so refreshing
+  /// them each round allocates nothing after the first.
+  struct RingSources {
+    std::map<int, std::uint64_t> gather;
+    std::map<int, std::uint64_t> scatter;
+  };
+  std::vector<std::array<RingSources, 3>> bySource_;  ///< per node, per dim
   core::RecoveryHooks recovery_;
 };
 

@@ -101,9 +101,9 @@ AntonMdApp::AntonMdApp(net::Machine& machine, MDSystem system, AntonMdConfig cfg
   if (cfg_.recoveryTimeoutUs > 0.0) {
     dropRegistry_ = std::make_unique<core::DropRegistry>(machine_);
     // One shared arming handle for every counted wait of the superstep:
-    // the MD phases (via awaitRecoverable), the FFT gather/scatter waits
-    // and the all-reduce line-broadcast waits all diagnose and replay
-    // drops from the same registry into the same stats.
+    // the MD phases, the FFT gather/scatter waits and the all-reduce
+    // line-broadcast waits all diagnose and replay drops from the same
+    // registry into the same stats.
     recoveryHooks_.registry = dropRegistry_.get();
     recoveryHooks_.config.timeout = sim::us(cfg_.recoveryTimeoutUs);
     recoveryHooks_.config.maxResends = cfg_.recoveryMaxResends;
@@ -114,21 +114,6 @@ AntonMdApp::AntonMdApp(net::Machine& machine, MDSystem system, AntonMdConfig cfg
   }
 
   computeInitialForces();
-}
-
-// --- erasure recovery -------------------------------------------------------
-
-sim::Task AntonMdApp::awaitRecoverable(
-    net::NetworkClient& client, int counterId, std::uint64_t target,
-    const std::map<int, std::uint64_t>& expected) {
-  // `expected` is a reference on purpose: gcc's coroutine-frame copy of a
-  // non-trivial by-value parameter can alias the caller's argument, double-
-  // freeing the map nodes when both are destroyed. Callers pass a named map
-  // that outlives the co_await (it is consumed before the first suspension
-  // anyway). With recovery disabled the hooks are disarmed and this is a
-  // plain counter wait, schedule-identical to the pre-recovery app.
-  co_await core::awaitCounted(client, counterId, target, expected,
-                              recoveryHooks_);
 }
 
 // --- geometry ---------------------------------------------------------------
@@ -534,15 +519,15 @@ sim::Task AntonMdApp::htisPhase(int node) {
   for (int s : lowerShell_[std::size_t(node)])
     perRound += std::uint64_t(posFixed_[std::size_t(s)]);
   ns.posRounds += 1;
-  {
+  if (dropRegistry_) {
     // Per-source cumulative expectation: fixed counts make it a product.
-    std::map<int, std::uint64_t> bySource;
-    bySource[node] = ns.posRounds * std::uint64_t(posFixed_[std::size_t(node)]);
+    ns.posBySource[node] =
+        ns.posRounds * std::uint64_t(posFixed_[std::size_t(node)]);
     for (int s : lowerShell_[std::size_t(node)])
-      bySource[s] = ns.posRounds * std::uint64_t(posFixed_[std::size_t(s)]);
-    co_await awaitRecoverable(htis, cfg_.ctrPos, ns.posRounds * perRound,
-                              bySource);
+      ns.posBySource[s] = ns.posRounds * std::uint64_t(posFixed_[std::size_t(s)]);
   }
+  co_await core::awaitCounted(htis, cfg_.ctrPos, ns.posRounds * perRound,
+                              ns.posBySource, recoveryHooks_);
 
   // Decode the arrived records per source.
   std::vector<int> sources;
@@ -630,15 +615,13 @@ sim::Task AntonMdApp::bondedPhase(int node) {
 
   if (!slots.empty()) {
     ns.bondPosExpected += slots.size();
-    std::map<int, std::uint64_t> bySource;
     if (dropRegistry_) {
       // Each gathered atom is sent once per step by its current home node.
       for (const auto& [gid, slot] : slots)
         ++ns.bondPosBySource[homeOfGid_[std::size_t(gid)]];
-      bySource = ns.bondPosBySource;
     }
-    co_await awaitRecoverable(slice0, cfg_.ctrBondPos, ns.bondPosExpected,
-                              bySource);
+    co_await core::awaitCounted(slice0, cfg_.ctrBondPos, ns.bondPosExpected,
+                                ns.bondPosBySource, recoveryHooks_);
   }
 
   // Read the gathered positions and evaluate the assigned terms on the
@@ -782,21 +765,18 @@ sim::Task AntonMdApp::longRangePhase(int node) {
   // The counter lives on the accumulation memory; polling it from the slice
   // crosses the on-chip ring (higher poll latency, SC10 §III-B).
   ns.gridRounds += 1;
-  {
+  if (dropRegistry_) {
     // Every neighborhood peer (and this node itself) owes one fixed dense
     // block per long-range round, so the per-source breakdown is uniform;
     // armed, a timed-out wait names the short sender and replays its
     // dropped chunks from the registry.
-    std::map<int, std::uint64_t> gridBySource;
-    if (dropRegistry_) {
-      const std::uint64_t gridPacketsPerBlock =
-          (blockBytes + chunk - 1) / chunk;
-      for (int t : targets)
-        gridBySource[t] = ns.gridRounds * gridPacketsPerBlock;
-    }
-    co_await awaitRecoverable(gridMem, cfg_.ctrGrid,
-                              gridExpected_ * ns.gridRounds, gridBySource);
+    const std::uint64_t gridPacketsPerBlock = (blockBytes + chunk - 1) / chunk;
+    for (int t : targets)
+      ns.gridBySource[t] = ns.gridRounds * gridPacketsPerBlock;
   }
+  co_await core::awaitCounted(gridMem, cfg_.ctrGrid,
+                              gridExpected_ * ns.gridRounds, ns.gridBySource,
+                              recoveryHooks_);
 
   std::vector<fft::Complex>& homeBlk = fft_->home(node);
   for (std::size_t i = 0; i < blockPts; ++i) {
@@ -849,15 +829,14 @@ sim::Task AntonMdApp::longRangePhase(int node) {
   {
     // Same symmetric neighborhood as the grid wait: each peer multicasts
     // its potential block at a fixed packet count per round.
-    std::map<int, std::uint64_t> potBySource;
     if (dropRegistry_) {
       for (int t : targets)
-        potBySource[t] = ns.potRounds * potPacketsPerBlock;
+        ns.potBySource[t] = ns.potRounds * potPacketsPerBlock;
     }
-    co_await awaitRecoverable(
+    co_await core::awaitCounted(
         slice1, cfg_.ctrPot,
         ns.potRounds * std::uint64_t(targets.size()) * potPacketsPerBlock,
-        potBySource);
+        ns.potBySource, recoveryHooks_);
   }
 
   // --- force interpolation -------------------------------------------------
@@ -969,15 +948,14 @@ sim::Task AntonMdApp::migrationPhase(int node) {
     // hanging every neighbor's drain. The FIFO records the flush fences
     // remain uncounted — a dropped migration payload is the one lane
     // recovery cannot cover (see DESIGN.md §7).
-    std::map<int, std::uint64_t> flushBySource;
     if (dropRegistry_) {
       for (int nb : migrationSync_->neighbors(node))
-        flushBySource[nb] = ns.flushRounds;
+        ns.flushBySource[nb] = ns.flushRounds;
     }
-    co_await awaitRecoverable(
+    co_await core::awaitCounted(
         slice0, migrationSync_->counterId(),
         ns.flushRounds * migrationSync_->expectedPerRound(node),
-        flushBySource);
+        ns.flushBySource, recoveryHooks_);
   }
 
   int received = 0;
@@ -1065,10 +1043,8 @@ sim::Task AntonMdApp::stepTask(int node, int stepNumber) {
   // 4. Integration: wait for every expected force packet, read, half-kick.
   net::AccumulationMemory& acc = machine_.accum(node, 0);
   sim::Time waitStart = machine_.sim().now();
-  static const std::map<int, std::uint64_t> kNoSources;
-  co_await awaitRecoverable(
-      acc, cfg_.ctrForce, ns.forceExpected,
-      dropRegistry_ ? ns.forceBySource : kNoSources);
+  co_await core::awaitCounted(acc, cfg_.ctrForce, ns.forceExpected,
+                              ns.forceBySource, recoveryHooks_);
   stage(node).forceWaitUs = std::max(
       stage(node).forceWaitUs, sim::toUs(machine_.sim().now() - waitStart));
   if (auto* tr = machine_.trace())

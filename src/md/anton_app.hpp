@@ -165,10 +165,10 @@ class AntonMdApp {
   /// forward/inverse FFT plans, the potential halo, the thermostat
   /// all-reduce, and the migration flush — with every counter expectation,
   /// multicast table, and receive-buffer reuse schedule. Waits are marked
-  /// recovery-armed exactly where the live app arms a
-  /// RecoverableCountedWrite (every counted wait — position/bond/force,
-  /// grid/potential, FFT, all-reduce, and the migration flush — when
-  /// recovery is on; FIFO migration payloads remain the unrecoverable lane).
+  /// recovery-armed exactly where the live app arms core::awaitCounted
+  /// (every counted wait — position/bond/force, grid/potential, FFT,
+  /// all-reduce, and the migration flush — when recovery is on; FIFO
+  /// migration payloads remain the unrecoverable lane).
   verify::CommPlan extractCommPlan() const;
 
   /// Number of atoms migrated during the last migration phase.
@@ -196,9 +196,15 @@ class AntonMdApp {
     std::uint64_t potRounds = 0;
     std::uint64_t bondPosExpected = 0;
     std::uint64_t flushRounds = 0;
-    // Cumulative per-source expectations (recovery only: per-source missing
-    // diagnosis requires knowing what each sender owes).
+    // Cumulative per-source expectations of each counted wait (recovery
+    // only: per-source missing diagnosis requires knowing what each sender
+    // owes). Kept across steps so refreshing them allocates nothing once
+    // every source has been seen.
+    std::map<int, std::uint64_t> posBySource;
     std::map<int, std::uint64_t> bondPosBySource;
+    std::map<int, std::uint64_t> gridBySource;
+    std::map<int, std::uint64_t> potBySource;
+    std::map<int, std::uint64_t> flushBySource;
     std::map<int, std::uint64_t> forceBySource;
   };
 
@@ -216,13 +222,6 @@ class AntonMdApp {
 
   // --- per-step tasks ----------------------------------------------------
   sim::Task stepTask(int node, int stepNumber);
-  /// Counted-write wait with erasure recovery when enabled; a plain
-  /// waitCounter (identical event schedule) when disabled. `expected` maps
-  /// source node -> cumulative packet expectation for diagnosis + resend;
-  /// the referenced map must outlive the co_await (callers pass named maps).
-  sim::Task awaitRecoverable(net::NetworkClient& client, int counterId,
-                             std::uint64_t target,
-                             const std::map<int, std::uint64_t>& expected);
   sim::Task sendPositions(int node);
   sim::Task bondedPhase(int node);
   sim::Task htisPhase(int node);
@@ -287,8 +286,8 @@ class AntonMdApp {
   std::unique_ptr<core::DropRegistry> dropRegistry_;  ///< recovery only
   core::RecoveryStats recoveryStats_;
   /// Shared arming handle (registry + config + stats) passed to the FFT and
-  /// all-reduce subsystems and used by awaitRecoverable. Disarmed (null
-  /// registry) when recovery is off.
+  /// all-reduce subsystems and to every core::awaitCounted of the MD
+  /// phases. Disarmed (null registry) when recovery is off.
   core::RecoveryHooks recoveryHooks_;
   /// Current home node of every atom gid, refreshed host-side before each
   /// step (recovery only: bonded receivers diagnose senders by home node).

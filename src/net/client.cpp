@@ -55,12 +55,9 @@ bool NetworkClient::cancelCounterWaiter(int id, std::uint64_t token) {
   return false;
 }
 
-std::map<int, std::uint64_t> NetworkClient::counterSources(int id) const {
-  std::map<int, std::uint64_t> out;
-  for (const auto& [key, n] : srcTally_)
-    if ((key >> 32) == std::uint64_t(std::uint32_t(id)))
-      out[int(std::uint32_t(key))] = n;
-  return out;
+std::uint64_t NetworkClient::arrivedFrom(int id, int srcNode) const {
+  auto it = srcTally_.find(tallyKey(id, srcNode));
+  return it == srcTally_.end() ? 0 : it->second;
 }
 
 void NetworkClient::bumpCounter(int id, sim::Time /*now*/, int srcNode) {

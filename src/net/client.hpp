@@ -13,7 +13,6 @@
 #include <cstring>
 #include <deque>
 #include <functional>
-#include <map>
 #include <span>
 #include <stdexcept>
 #include <unordered_map>
@@ -105,7 +104,7 @@ class NetworkClient {
 
   /// One-shot callback: invoke `fn` (after this client's poll latency) once
   /// counters[id] >= target; scheduled immediately if already met. The
-  /// machinery behind the counted-write watchdog (core/watchdog.hpp).
+  /// machinery behind the armed counted wait (core::awaitCounted).
   /// Returns a token for cancelCounterWaiter, or 0 when the threshold was
   /// already met (the callback is then a scheduled event, not a waiter).
   std::uint64_t onCounter(int id, std::uint64_t target, std::function<void()> fn);
@@ -124,12 +123,11 @@ class NetworkClient {
                : 0;
   }
 
-  /// Arrival tally (source node -> packets) of a counter. Sources are
-  /// tracked from counter creation — every counted delivery records its
-  /// source node — so a watchdog attaching mid-stream (expectFrom after
-  /// packets already arrived) still sees the full history and does not
-  /// overstate the missing packets.
-  std::map<int, std::uint64_t> counterSources(int id) const;
+  /// Counted packets from `srcNode` that have bumped counter `id`. Sources
+  /// are tallied from counter creation — every counted delivery records its
+  /// source node — so a diagnosis made mid-stream still sees the full
+  /// history and does not overstate the missing packets.
+  std::uint64_t arrivedFrom(int id, int srcNode) const;
 
   /// Latency of one successful poll of this client's counters, as seen by
   /// software on a processing slice of the same node.
@@ -189,8 +187,8 @@ class NetworkClient {
   /// counted delivery onward. Flattened to one hash map keyed by
   /// (id << 32 | node): the bump is on the delivery hot path (plus a
   /// last-cell memo for same-source streams — mapped references are
-  /// node-stable, so the memo survives rehashing); the per-counter view the
-  /// watchdogs read is assembled on demand in counterSources().
+  /// node-stable, so the memo survives rehashing); timeout diagnoses read
+  /// it one declared source at a time through arrivedFrom().
   static std::uint64_t tallyKey(int id, int srcNode) {
     return (std::uint64_t(std::uint32_t(id)) << 32) | std::uint32_t(srcNode);
   }

@@ -1,9 +1,8 @@
 // Slab/freelist memory pools for the zero-allocation hot path.
 //
-// A SlabPool serves fixed-granularity slots out of bump-carved slabs (the
-// same discipline core/arena.hpp applies to client memories: carve up front,
-// never give back) and recycles freed slots through per-size-class
-// freelists. Once the working set has been touched, every alloc/free is a
+// A SlabPool serves fixed-granularity slots out of bump-carved slabs (carve
+// up front, never give back) and recycles freed slots through
+// per-size-class freelists. Once the working set has been touched, every alloc/free is a
 // pointer pop/push — no malloc, ever — which is what lets the event kernel
 // run packets, payload buffers, coroutine frames and cancellable-event
 // handles without touching the host allocator (ndn-dpdk's DPDK mempool

@@ -453,8 +453,8 @@ VerifyResult verifyPlan(const CommPlan& plan, const VerifyOptions& opts) {
     if (counts.second > 0)
       add("recovery-coverage", Severity::kLint, site,
           std::to_string(counts.second) + " counted-wait record(s) at site '" +
-              site + "' have no RecoverableCountedWrite armed; a dropped "
-              "packet hangs the step",
+              site + "' have no armed recovery on their counted wait; a "
+              "dropped packet hangs the step",
           -1, siteCtr[site]);
 
   // ---- check 4: deadlock freedom of unicast routes ----------------------

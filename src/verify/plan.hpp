@@ -17,8 +17,8 @@
 //   * writes     — counted-remote-write groups: source node, unicast target
 //                  or multicast pattern, counter, packets per round.
 //   * expectations — counter wait sites: client, counter, per-round target
-//                  increment, optional per-source breakdown, and whether a
-//                  RecoverableCountedWrite is armed on the wait.
+//                  increment, optional per-source breakdown, and whether
+//                  the wait's core::awaitCounted is armed for recovery.
 //   * multicasts — the per-node MulticastEntry tables of each pattern a
 //                  write references, with the fan-out's declared destination
 //                  set (carried independently so the tree can be checked
@@ -80,8 +80,9 @@ struct CounterExpectation {
   std::uint64_t perRound = 0;  ///< counter increment this record expects
   /// Optional per-source breakdown (srcNode -> packets per round).
   std::map<int, std::uint64_t> bySource;
-  /// Whether a RecoverableCountedWrite watchdog is armed on this wait; a
-  /// false value is reported as a recovery-coverage lint.
+  /// Whether this wait's core::awaitCounted runs with armed recovery hooks
+  /// (deadline, diagnosis, replay); a false value is reported as a
+  /// recovery-coverage lint.
   bool recoveryArmed = false;
   /// Intra-phase position of the wait (see PlannedWrite::seq): waits default
   /// to 0 so they precede the phase's sends unless the extractor says

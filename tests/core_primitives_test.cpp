@@ -1,9 +1,7 @@
-// Primitives not covered elsewhere: Gate joins, CountedChannel rounds,
-// arenas, and property sweeps of routing invariants across torus shapes.
+// Primitives not covered elsewhere: Gate joins and property sweeps of
+// routing invariants across torus shapes.
 #include <gtest/gtest.h>
 
-#include "core/arena.hpp"
-#include "core/counted.hpp"
 #include "net/machine.hpp"
 #include "sim/gate.hpp"
 
@@ -45,80 +43,6 @@ TEST(Gate, EmptyGateDoesNotBlock) {
   sim.spawn(parent());
   sim.run();
   EXPECT_TRUE(passed);
-}
-
-TEST(CountedChannel, RoundsAccumulate) {
-  sim::Simulator sim;
-  net::Machine m(sim, {3, 1, 1});
-  core::CountedChannel chan(m.slice(1, 0), 4, 3);
-
-  std::vector<double> roundDone;
-  auto receiver = [&]() -> Task {
-    for (int r = 0; r < 3; ++r) {
-      co_await chan.nextRound();
-      roundDone.push_back(sim::toNs(sim.now()));
-    }
-  };
-  sim.spawn(receiver());
-  auto sender = [&]() -> Task {
-    for (int r = 0; r < 3; ++r) {
-      for (int i = 0; i < 3; ++i) {
-        net::NetworkClient::SendArgs args;
-        args.dst = {1, net::kSlice0};
-        args.counterId = 4;
-        co_await m.slice(0, 0).send(args);
-      }
-      co_await sim.delay(sim::us(1));
-    }
-  };
-  sim.spawn(sender());
-  sim.run();
-  ASSERT_EQ(roundDone.size(), 3u);
-  EXPECT_LT(roundDone[0], roundDone[1]);
-  EXPECT_LT(roundDone[1], roundDone[2]);
-  EXPECT_EQ(chan.roundsCompleted(), 3u);
-}
-
-TEST(CountedChannel, PartialProgressWithAtLeast) {
-  sim::Simulator sim;
-  net::Machine m(sim, {3, 1, 1});
-  core::CountedChannel chan(m.slice(1, 0), 4, 8);
-  double partialAt = -1, fullAt = -1;
-  auto receiver = [&]() -> Task {
-    co_await chan.atLeast(2);  // start work on the first two packets
-    partialAt = sim::toNs(sim.now());
-    co_await chan.nextRound();
-    fullAt = sim::toNs(sim.now());
-  };
-  sim.spawn(receiver());
-  auto sender = [&]() -> Task {
-    for (int i = 0; i < 8; ++i) {
-      net::NetworkClient::SendArgs args;
-      args.dst = {1, net::kSlice0};
-      args.counterId = 4;
-      co_await m.slice(0, 0).send(args);
-      co_await sim.delay(sim::ns(200));
-    }
-  };
-  sim.spawn(sender());
-  sim.run();
-  EXPECT_GT(partialAt, 0);
-  EXPECT_GT(fullAt, partialAt + 1000);  // overlap window was real
-}
-
-TEST(Arena, MemoryAlignmentAndExhaustion) {
-  core::MemoryArena arena(100, 0);
-  EXPECT_EQ(arena.alloc(10, 8), 0u);
-  EXPECT_EQ(arena.alloc(1, 8), 16u);   // aligned past 10
-  EXPECT_EQ(arena.alloc(4, 4), 20u);
-  EXPECT_THROW(arena.alloc(100, 8), std::runtime_error);
-}
-
-TEST(Arena, CountersExhaust) {
-  core::CounterArena arena(4, 1);
-  EXPECT_EQ(arena.alloc(2), 1);
-  EXPECT_EQ(arena.alloc(1), 3);
-  EXPECT_THROW(arena.alloc(1), std::runtime_error);
 }
 
 // ---- property sweep: routing invariants across torus shapes --------------

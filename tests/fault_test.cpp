@@ -1,15 +1,15 @@
 // The reliability subsystem: a zero-fault plan must be timing-invisible
 // (all calibrated anchors hold exactly), bit errors must be repaired by
 // link-level retransmission with the calibrated penalty, outages must stall
-// or reroute, router stalls must delay ring traffic, and the counted-write
-// watchdog must turn a would-be deadlock into a diagnostic.
+// or reroute, router stalls must delay ring traffic, and an armed counted
+// wait must turn a would-be deadlock into a diagnostic.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <sstream>
 
 #include "core/recovery.hpp"
-#include "core/watchdog.hpp"
 #include "fault/plan.hpp"
 #include "fault/report.hpp"
 #include "net/machine.hpp"
@@ -223,7 +223,7 @@ TEST(FaultPlan, RerouteOnTimeoutRecoversAroundDeadLink) {
   // Combined outage + drop: the X+ link out of the origin holds the packet
   // for the outage window, then drops it. The machine starts with degraded
   // routing OFF, so the recovery path must do all three steps itself —
-  // the watchdog timeout flips rerouteOnTimeout, the registry replays the
+  // the wait's timeout flips rerouteOnTimeout, the registry replays the
   // lost payload, and the resend routes Y-first around the dead link.
   Fixture f({4, 4, 4});
   core::DropRegistry reg(f.machine);
@@ -239,13 +239,15 @@ TEST(FaultPlan, RerouteOnTimeoutRecoversAroundDeadLink) {
   rc.maxResends = 3;
   rc.resendBackoff = sim::us(1);
   rc.rerouteOnTimeout = true;
-  core::RecoverableCountedWrite rcw(dstClient, 0, rc);
-  rcw.expectFrom(srcNode, 1);
+  core::RecoveryStats stats;
+  core::RecoveryHooks hooks;
+  hooks.registry = &reg;
+  hooks.config = rc;
+  hooks.stats = &stats;
+  const std::map<int, std::uint64_t> bySource{{srcNode, 1}};
   bool done = false;
   auto waiter = [&]() -> Task {
-    co_await rcw.await(1, [&](const core::WatchdogReport& r) {
-      return core::resendFromRegistry(f.machine, reg, r);
-    });
+    co_await core::awaitCounted(dstClient, 0, 1, bySource, hooks);
     done = true;
   };
   f.sim.spawn(waiter());
@@ -265,9 +267,9 @@ TEST(FaultPlan, RerouteOnTimeoutRecoversAroundDeadLink) {
   // The original attempt: one outage stall, then the drop.
   EXPECT_EQ(f.machine.stats().outageStalls, 1u);
   EXPECT_EQ(f.machine.stats().linkFailures, 1u);
-  EXPECT_EQ(rcw.stats().timeouts, 1u);
-  EXPECT_EQ(rcw.stats().resends, 1u);
-  EXPECT_EQ(rcw.stats().hardFailures, 0u);
+  EXPECT_EQ(stats.timeouts, 1u);
+  EXPECT_EQ(stats.resends, 1u);
+  EXPECT_EQ(stats.hardFailures, 0u);
   // The resend deviated from the dead preferred dimension: Y-first, and the
   // dead X+ link saw only the doomed original traversal.
   EXPECT_GE(f.machine.stats().faultReroutes, 1u);
@@ -312,28 +314,43 @@ TEST(FaultPlan, FaultEventsAreTraced) {
   EXPECT_GT(tr.busyTime(xplus, linkfail, 0, sim::us(1)), 0);
 }
 
+/// Armed with nothing to replay and no resend budget: the wait's first
+/// timeout without progress fails it with the diagnosis.
+struct DiagnoseOnly {
+  core::DropRegistry reg;
+  core::RecoveryHooks hooks;
+  DiagnoseOnly(Machine& m, sim::Time timeout) : reg(m) {
+    hooks.registry = &reg;
+    hooks.config.timeout = timeout;
+    hooks.config.maxResends = 0;
+  }
+};
+
 TEST(Watchdog, TimesOutWithDiagnosticInsteadOfDeadlock) {
   Fixture f({4, 4, 4});
   NetworkClient& dst = f.machine.client({0, kSlice0});
-  core::WatchdogReport report;
-  auto waiter = [&]() -> Task {
-    core::CountedWriteWatchdog wd(dst, 0, sim::us(2));
-    wd.expectFrom(1, 1);
-    wd.expectFrom(2, 2);
-    report = co_await wd.wait(3);
-  };
-  f.sim.spawn(waiter());
-  // Node 1 sends its packet; node 2 never does.
+  DiagnoseOnly armed(f.machine, sim::us(2));
+  // Node 1 sends its packet before the wait starts (an arrival during the
+  // round would be progress, forgiven once); node 2 never does.
   NetworkClient::SendArgs args;
   args.dst = dst.addr();
   args.counterId = 0;
   f.machine.client({1, kSlice0}).post(args);
-  f.sim.run();  // returns: the deadline event keeps the simulation live
+  f.sim.run();
+  const sim::Time waitStart = f.sim.now();
+  const std::map<int, std::uint64_t> bySource{{1, 1}, {2, 2}};
+  f.sim.spawn(core::awaitCounted(dst, 0, 3, bySource, armed.hooks));
+  core::WatchdogReport report;
+  try {
+    f.sim.run();  // the deadline event keeps the simulation live
+  } catch (const core::RecoveryFailure& e) {
+    report = e.report;
+  }
 
   EXPECT_TRUE(report.timedOut);
   EXPECT_EQ(report.expected, 3u);
   EXPECT_EQ(report.arrived, 1u);
-  EXPECT_DOUBLE_EQ(toNs(report.resolvedAt), 2000.0);
+  EXPECT_DOUBLE_EQ(toNs(report.resolvedAt - waitStart), 2000.0);
   ASSERT_EQ(report.missing.size(), 1u);
   EXPECT_EQ(report.missing[0].node, 2);
   EXPECT_EQ(report.missing[0].expected, 2u);
@@ -345,10 +362,14 @@ TEST(Watchdog, TimesOutWithDiagnosticInsteadOfDeadlock) {
 TEST(Watchdog, ResolvesNormallyWhenTrafficArrives) {
   Fixture f({4, 4, 4});
   NetworkClient& dst = f.machine.client({0, kSlice1});
-  core::WatchdogReport report;
+  DiagnoseOnly armed(f.machine, sim::us(100));
+  core::RecoveryStats stats;
+  armed.hooks.stats = &stats;
+  const std::map<int, std::uint64_t> none;
+  double resolvedNs = -1.0;
   auto waiter = [&]() -> Task {
-    core::CountedWriteWatchdog wd(dst, 0, sim::us(100));
-    report = co_await wd.wait(2);
+    co_await core::awaitCounted(dst, 0, 2, none, armed.hooks);
+    resolvedNs = toNs(f.sim.now());
   };
   f.sim.spawn(waiter());
   NetworkClient::SendArgs args;
@@ -358,23 +379,22 @@ TEST(Watchdog, ResolvesNormallyWhenTrafficArrives) {
   f.machine.client({2, kSlice0}).post(args);
   f.sim.run();
 
-  EXPECT_FALSE(report.timedOut);
-  EXPECT_EQ(report.arrived, 2u);
+  EXPECT_EQ(stats.timeouts, 0u);
+  EXPECT_EQ(dst.counterValue(0), 2u);
   // Resolution is prompt (counter path), not at the 100 us deadline.
-  EXPECT_LT(toNs(report.resolvedAt), 1000.0);
+  EXPECT_GE(resolvedNs, 0.0);
+  EXPECT_LT(resolvedNs, 1000.0);
 }
 
 TEST(Watchdog, TimeoutCanEnableDegradedRouting) {
   Fixture f({4, 4, 4});
   NetworkClient& dst = f.machine.client({0, kSlice0});
   EXPECT_FALSE(f.machine.faultReroute());
-  auto waiter = [&]() -> Task {
-    core::CountedWriteWatchdog wd(dst, 0, sim::us(1));
-    wd.rerouteOnTimeout(true);
-    co_await wd.wait(1);  // nothing is ever sent
-  };
-  f.sim.spawn(waiter());
-  f.sim.run();
+  DiagnoseOnly armed(f.machine, sim::us(1));
+  armed.hooks.config.rerouteOnTimeout = true;
+  const std::map<int, std::uint64_t> none;
+  f.sim.spawn(core::awaitCounted(dst, 0, 1, none, armed.hooks));  // never sent
+  EXPECT_THROW(f.sim.run(), core::RecoveryFailure);
   EXPECT_TRUE(f.machine.faultReroute());
 }
 

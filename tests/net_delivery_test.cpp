@@ -388,7 +388,8 @@ TEST(FirstTouch, UntouchedCounterReadsZero) {
   for (int id : {0, 17, c.numCounters() - 1}) {
     EXPECT_EQ(c.counterValue(id), 0u);
     EXPECT_EQ(c.counterWaiters(id), 0u);
-    EXPECT_TRUE(c.counterSources(id).empty());
+    EXPECT_EQ(c.arrivedFrom(id, 0), 0u);
+    EXPECT_EQ(c.arrivedFrom(id, 3), 0u);
     EXPECT_FALSE(c.cancelCounterWaiter(id, 1));
   }
 }

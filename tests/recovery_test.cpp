@@ -1,17 +1,18 @@
 // End-to-end erasure recovery: link-failure drops must be observable and
-// recoverable. Covers the watchdog race-loser cancellation (no stale counter
-// waiters, no deadline stretching the timeline), expectFrom diagnosis over
-// the full arrival history, the DropRegistry replay buffer, and the
-// RecoverableCountedWrite retry loop — including exact multicast recovery
+// recoverable. Covers the armed counted wait's race-loser cancellation (no
+// stale counter waiters, no deadline stretching the timeline), per-source
+// diagnosis over the full arrival history, the DropRegistry replay buffer,
+// and core::awaitCounted's retry loop — including exact multicast recovery
 // (only denied receivers are re-sent to) and the bounded-budget hard
 // failure.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <stdexcept>
 #include <vector>
 
 #include "core/allreduce.hpp"
 #include "core/recovery.hpp"
-#include "core/watchdog.hpp"
 #include "fft/distributed.hpp"
 #include "fft/grid3d.hpp"
 #include "md/anton_app.hpp"
@@ -123,15 +124,43 @@ struct DeadLink final : net::FaultModel {
   sim::Time routerStallUntil(int, sim::Time t) const override { return t; }
 };
 
-core::RecoveryHooks testHooks(core::DropRegistry& reg,
-                              core::RecoveryStats& stats) {
+core::RecoveryHooks armedHooks(core::DropRegistry& reg,
+                               const core::RecoveryConfig& config,
+                               core::RecoveryStats& stats) {
   core::RecoveryHooks hooks;
   hooks.registry = &reg;
-  hooks.config.timeout = sim::us(100);
-  hooks.config.maxResends = 6;
-  hooks.config.resendBackoff = sim::us(5);
+  hooks.config = config;
   hooks.stats = &stats;
   return hooks;
+}
+
+core::RecoveryHooks testHooks(core::DropRegistry& reg,
+                              core::RecoveryStats& stats) {
+  core::RecoveryConfig rc;
+  rc.timeout = sim::us(100);
+  rc.maxResends = 6;
+  rc.resendBackoff = sim::us(5);
+  return armedHooks(reg, rc, stats);
+}
+
+/// An armed wait that only diagnoses: no resend budget, so its first
+/// timeout without progress fails it with the report.
+core::RecoveryConfig diagnoseOnly(sim::Time timeout) {
+  core::RecoveryConfig rc;
+  rc.timeout = timeout;
+  rc.maxResends = 0;
+  return rc;
+}
+
+/// Run to completion; the report of the wait that hard-failed, or a report
+/// with timedOut false when none did.
+core::WatchdogReport runCatchingFailure(sim::Simulator& sim) {
+  try {
+    sim.run();
+  } catch (const core::RecoveryFailure& e) {
+    return e.report;
+  }
+  return {};
 }
 
 // --- watchdog race cancellation -------------------------------------------
@@ -141,15 +170,17 @@ TEST(Watchdog, TimeoutCancelsTheCounterWaiter) {
   // forever (counters never reset, so an unmet target would pin it — and
   // the frames it captures — for the life of the client).
   Fixture f;
+  core::DropRegistry reg(f.machine);
+  core::RecoveryStats stats;
+  const core::RecoveryHooks hooks =
+      armedHooks(reg, diagnoseOnly(sim::us(1)), stats);
+  const std::map<int, std::uint64_t> none;
   NetworkClient& dst = f.machine.client({0, kSlice0});
-  core::WatchdogReport report;
-  auto waiter = [&]() -> Task {
-    core::CountedWriteWatchdog wd(dst, 0, sim::us(1));
-    report = co_await wd.wait(5);  // nothing is ever sent
-  };
-  f.sim.spawn(waiter());
-  f.sim.run();
+  f.sim.spawn(core::awaitCounted(dst, 0, 5, none, hooks));  // nothing sent
+  core::WatchdogReport report = runCatchingFailure(f.sim);
   EXPECT_TRUE(report.timedOut);
+  EXPECT_EQ(stats.timeouts, 1u);
+  EXPECT_EQ(stats.hardFailures, 1u);
   EXPECT_EQ(dst.counterWaiters(0), 0u) << "stale counter waiter leaked";
 }
 
@@ -158,11 +189,16 @@ TEST(Watchdog, CounterWinCancelsTheDeadline) {
   // run() drains the queue, so a surviving deadline event would stretch
   // simulated time to the full timeout.
   Fixture f;
+  core::DropRegistry reg(f.machine);
+  core::RecoveryStats stats;
+  const core::RecoveryHooks hooks =
+      armedHooks(reg, diagnoseOnly(sim::us(1000)), stats);
+  const std::map<int, std::uint64_t> none;
   NetworkClient& dst = f.machine.client({0, kSlice0});
-  core::WatchdogReport report;
+  bool done = false;
   auto waiter = [&]() -> Task {
-    core::CountedWriteWatchdog wd(dst, 0, sim::us(1000));
-    report = co_await wd.wait(1);
+    co_await core::awaitCounted(dst, 0, 1, none, hooks);
+    done = true;
   };
   f.sim.spawn(waiter());
   NetworkClient::SendArgs args;
@@ -170,17 +206,20 @@ TEST(Watchdog, CounterWinCancelsTheDeadline) {
   args.counterId = 0;
   f.machine.client({f.nodeAt(1, 0, 0), kSlice0}).post(args);
   f.sim.run();
-  EXPECT_FALSE(report.timedOut);
+  EXPECT_TRUE(done);
+  EXPECT_EQ(stats.timeouts, 0u);
   EXPECT_EQ(dst.counterWaiters(0), 0u);
   EXPECT_LT(f.sim.now(), sim::us(1000)) << "dead deadline stretched the run";
 }
 
-TEST(Watchdog, ExpectFromAfterArrivalsSeesFullHistory) {
-  // Sources are tallied from counter creation, so a watchdog declaring its
-  // expectations after packets have already arrived must still credit them
-  // (the old per-call opt-in lost every pre-tracking increment and
-  // overstated the missing packets).
+TEST(Watchdog, DiagnosisAfterArrivalsSeesFullHistory) {
+  // Sources are tallied from counter creation, so a wait declaring its
+  // per-source expectations after packets have already arrived must still
+  // credit them (the old per-call opt-in lost every pre-tracking increment
+  // and overstated the missing packets).
   Fixture f;
+  core::DropRegistry reg(f.machine);
+  core::RecoveryStats stats;
   NetworkClient& dst = f.machine.client({0, kSlice0});
   const int src1 = f.nodeAt(1, 0, 0), src2 = f.nodeAt(2, 0, 0);
   NetworkClient::SendArgs args;
@@ -191,15 +230,11 @@ TEST(Watchdog, ExpectFromAfterArrivalsSeesFullHistory) {
   f.machine.client({src2, kSlice0}).post(args);
   f.sim.run();  // all three arrive BEFORE any expectation is declared
 
-  core::WatchdogReport report;
-  auto waiter = [&]() -> Task {
-    core::CountedWriteWatchdog wd(dst, 0, sim::us(1));
-    wd.expectFrom(src1, 2);
-    wd.expectFrom(src2, 2);
-    report = co_await wd.wait(4);  // 3 arrived; src1 still owes one
-  };
-  f.sim.spawn(waiter());
-  f.sim.run();
+  const core::RecoveryHooks hooks =
+      armedHooks(reg, diagnoseOnly(sim::us(1)), stats);
+  const std::map<int, std::uint64_t> bySource{{src1, 2}, {src2, 2}};
+  f.sim.spawn(core::awaitCounted(dst, 0, 4, bySource, hooks));  // 3 arrived
+  core::WatchdogReport report = runCatchingFailure(f.sim);
 
   EXPECT_TRUE(report.timedOut);
   EXPECT_EQ(report.arrived, 3u);
@@ -207,6 +242,25 @@ TEST(Watchdog, ExpectFromAfterArrivalsSeesFullHistory) {
   EXPECT_EQ(report.missing[0].node, src1);
   EXPECT_EQ(report.missing[0].arrived, 1u);
   EXPECT_EQ(report.missing[0].expected, 2u);
+}
+
+TEST(Watchdog, RejectsATimeoutShorterThanOnePoll) {
+  // A deadline shorter than the poll latency fires before any counter wake
+  // can land, even for a counter that is already met.
+  Fixture f;
+  core::DropRegistry reg(f.machine);
+  core::RecoveryStats stats;
+  NetworkClient& dst = f.machine.client({0, kSlice0});
+  const core::RecoveryHooks hooks =
+      armedHooks(reg, diagnoseOnly(dst.pollLatency() - 1), stats);
+  const std::map<int, std::uint64_t> none;
+  EXPECT_THROW(
+      {
+        f.sim.spawn(core::awaitCounted(dst, 0, 0, none, hooks));
+        f.sim.run();
+      },
+      std::invalid_argument);
+  EXPECT_EQ(stats.timeouts, 0u);
 }
 
 // --- drop registry ---------------------------------------------------------
@@ -242,8 +296,8 @@ TEST(DropRegistry, TakeConsumesPerReceiver) {
 
 TEST(Recovery, DroppedCountedWriteIsResentAndCompletes) {
   // Unicast e2e: 3 counted writes, the first one dropped at cap exhaustion.
-  // The recoverable wait times out, diagnoses the short source, replays the
-  // lost payload from the registry, and completes — with the data intact.
+  // The armed wait times out, diagnoses the short source, replays the lost
+  // payload from the registry, and completes — with the data intact.
   Fixture f;
   core::DropRegistry reg(f.machine);
   DropTraversals fm({0});
@@ -256,13 +310,12 @@ TEST(Recovery, DroppedCountedWriteIsResentAndCompletes) {
   rc.timeout = sim::us(2);
   rc.maxResends = 3;
   rc.resendBackoff = sim::us(1);
-  core::RecoverableCountedWrite rcw(dstClient, 0, rc);
-  rcw.expectFrom(srcNode, 3);
+  core::RecoveryStats stats;
+  const core::RecoveryHooks hooks = armedHooks(reg, rc, stats);
+  const std::map<int, std::uint64_t> bySource{{srcNode, 3}};
   bool done = false;
   auto waiter = [&]() -> Task {
-    co_await rcw.await(3, [&](const core::WatchdogReport& r) {
-      return core::resendFromRegistry(f.machine, reg, r);
-    });
+    co_await core::awaitCounted(dstClient, 0, 3, bySource, hooks);
     done = true;
   };
   f.sim.spawn(waiter());
@@ -281,9 +334,9 @@ TEST(Recovery, DroppedCountedWriteIsResentAndCompletes) {
   EXPECT_TRUE(done);
   EXPECT_EQ(dstClient.counterValue(0), 3u);
   EXPECT_EQ(f.machine.stats().linkFailures, 1u);
-  EXPECT_EQ(rcw.stats().timeouts, 1u);
-  EXPECT_EQ(rcw.stats().resends, 1u);
-  EXPECT_EQ(rcw.stats().hardFailures, 0u);
+  EXPECT_EQ(stats.timeouts, 1u);
+  EXPECT_EQ(stats.resends, 1u);
+  EXPECT_EQ(stats.hardFailures, 0u);
   for (std::uint64_t i = 0; i < 3; ++i)
     EXPECT_EQ(dstClient.read<std::uint64_t>(std::uint32_t(i) * 8), 0xabc0 + i)
         << "slot " << i;
@@ -315,13 +368,12 @@ TEST(Recovery, MulticastResendTargetsOnlyDeniedReceivers) {
   rc.timeout = sim::us(2);
   rc.maxResends = 2;
   rc.resendBackoff = sim::us(1);
-  core::RecoverableCountedWrite rcw(r2, 0, rc);
-  rcw.expectFrom(n0, 1);
+  core::RecoveryStats stats;
+  const core::RecoveryHooks hooks = armedHooks(reg, rc, stats);
+  const std::map<int, std::uint64_t> bySource{{n0, 1}};
   bool done = false;
   auto waiter = [&]() -> Task {
-    co_await rcw.await(1, [&](const core::WatchdogReport& r) {
-      return core::resendFromRegistry(f.machine, reg, r);
-    });
+    co_await core::awaitCounted(r2, 0, 1, bySource, hooks);
     done = true;
   };
   f.sim.spawn(waiter());
@@ -338,7 +390,7 @@ TEST(Recovery, MulticastResendTargetsOnlyDeniedReceivers) {
   EXPECT_EQ(r1.counterValue(0), 1u) << "already-served receiver re-bumped";
   EXPECT_EQ(r2.counterValue(0), 1u);
   EXPECT_EQ(r2.read<std::uint64_t>(0), 0xfeedu);
-  EXPECT_EQ(rcw.stats().resends, 1u);
+  EXPECT_EQ(stats.resends, 1u);
   EXPECT_EQ(f.machine.stats().linkFailures, 1u);
 }
 
@@ -349,21 +401,19 @@ TEST(Recovery, TrickleProgressRoundsDoNotChargeTheResendBudget) {
   // forgiven — with maxResends = 0 the old fixed-budget loop would have
   // hard-failed on the very first timeout, even though nothing was lost.
   Fixture f;
+  core::DropRegistry reg(f.machine);  // nothing is ever dropped
   const int srcNode = f.nodeAt(1, 0, 0);
   ClientAddr dst{0, kSlice0};
   NetworkClient& dstClient = f.machine.client(dst);
   core::RecoveryConfig rc;
   rc.timeout = sim::us(2);
   rc.maxResends = 0;  // zero budget: only progress keeps the wait alive
-  core::RecoverableCountedWrite rcw(dstClient, 0, rc);
-  rcw.expectFrom(srcNode, 4);
+  core::RecoveryStats stats;
+  const core::RecoveryHooks hooks = armedHooks(reg, rc, stats);
+  const std::map<int, std::uint64_t> bySource{{srcNode, 4}};
   bool done = false;
-  int diagnoses = 0;
   auto waiter = [&]() -> Task {
-    co_await rcw.await(4, [&](const core::WatchdogReport&) -> std::size_t {
-      ++diagnoses;
-      return 0;  // nothing in the registry: no packet was actually lost
-    });
+    co_await core::awaitCounted(dstClient, 0, 4, bySource, hooks);
     done = true;
   };
   f.sim.spawn(waiter());
@@ -386,50 +436,38 @@ TEST(Recovery, TrickleProgressRoundsDoNotChargeTheResendBudget) {
 
   EXPECT_TRUE(done);
   EXPECT_EQ(dstClient.counterValue(0), 4u);
-  EXPECT_EQ(rcw.stats().timeouts, 3u);        // deadlines at 2, 4, 6 us
-  EXPECT_EQ(rcw.stats().progressRounds, 3u);  // every one forgiven
-  EXPECT_EQ(diagnoses, 3);                    // each round still diagnosed
-  EXPECT_EQ(rcw.stats().resends, 0u);
-  EXPECT_EQ(rcw.stats().hardFailures, 0u);
+  EXPECT_EQ(stats.timeouts, 3u);        // deadlines at 2, 4, 6 us
+  EXPECT_EQ(stats.progressRounds, 3u);  // every one forgiven
+  EXPECT_EQ(stats.resends, 0u);
+  EXPECT_EQ(stats.hardFailures, 0u);
 }
 
 TEST(Recovery, StalledTrickleStillExhaustsTheBudget) {
   // The forgiveness must not defeat the bound: once the trickle stops, the
   // counter stops advancing and the stalled rounds burn the budget as
-  // before — a genuinely lost packet still hard-fails.
+  // before — a packet that never comes still hard-fails.
   Fixture f;
-  DropTraversals fm({1});  // second packet is eaten
-  f.machine.setFaultModel(&fm);
+  core::DropRegistry reg(f.machine);  // nothing to replay
   const int srcNode = f.nodeAt(1, 0, 0);
   NetworkClient& dstClient = f.machine.client({0, kSlice0});
   core::RecoveryConfig rc;
   rc.timeout = sim::us(2);
   rc.maxResends = 1;
-  core::RecoverableCountedWrite rcw(dstClient, 0, rc);
-  rcw.expectFrom(srcNode, 2);
-  auto waiter = [&]() -> Task {
-    co_await rcw.await(2, [](const core::WatchdogReport&) -> std::size_t {
-      return 0;  // registry intentionally empty: nothing to replay
-    });
-  };
-  f.sim.spawn(waiter());
+  core::RecoveryStats stats;
+  const core::RecoveryHooks hooks = armedHooks(reg, rc, stats);
+  const std::map<int, std::uint64_t> bySource{{srcNode, 2}};
+  f.sim.spawn(core::awaitCounted(dstClient, 0, 2, bySource, hooks));
   NetworkClient::SendArgs args;
   args.dst = {0, kSlice0};
   args.counterId = 0;
   args.inOrder = true;
   f.machine.client({srcNode, kSlice0}).post(args);  // arrives: progress
-  f.sim.after(sim::us(1), [&f, srcNode] {
-    NetworkClient::SendArgs a;
-    a.dst = {0, kSlice0};
-    a.counterId = 0;
-    a.inOrder = true;
-    f.machine.client({srcNode, kSlice0}).post(a);  // dropped: stall
-  });
+  // The second packet is never sent: the counter stalls at 1.
 
   EXPECT_THROW(f.sim.run(), core::RecoveryFailure);
-  EXPECT_EQ(rcw.stats().hardFailures, 1u);
-  EXPECT_EQ(rcw.stats().progressRounds, 1u);  // round 1 saw the first packet
-  EXPECT_EQ(rcw.stats().timeouts, 3u);  // progress round + initial + 1 resend
+  EXPECT_EQ(stats.hardFailures, 1u);
+  EXPECT_EQ(stats.progressRounds, 1u);  // round 1 saw the first packet
+  EXPECT_EQ(stats.timeouts, 3u);  // progress round + initial + 1 resend
 }
 
 TEST(Recovery, ExhaustedResendBudgetHardFailsWithReport) {
@@ -447,14 +485,10 @@ TEST(Recovery, ExhaustedResendBudgetHardFailsWithReport) {
   rc.timeout = sim::us(1);
   rc.maxResends = 2;
   rc.resendBackoff = sim::us(1);
-  core::RecoverableCountedWrite rcw(dst, 0, rc);
-  rcw.expectFrom(srcNode, 1);
-  auto waiter = [&]() -> Task {
-    co_await rcw.await(1, [&](const core::WatchdogReport& r) {
-      return core::resendFromRegistry(f.machine, reg, r);
-    });
-  };
-  f.sim.spawn(waiter());
+  core::RecoveryStats stats;
+  const core::RecoveryHooks hooks = armedHooks(reg, rc, stats);
+  const std::map<int, std::uint64_t> bySource{{srcNode, 1}};
+  f.sim.spawn(core::awaitCounted(dst, 0, 1, bySource, hooks));
   NetworkClient::SendArgs args;
   args.dst = dst.addr();
   args.counterId = 0;
@@ -472,8 +506,8 @@ TEST(Recovery, ExhaustedResendBudgetHardFailsWithReport) {
     EXPECT_EQ(e.report.missing[0].node, srcNode);
     EXPECT_NE(std::string(e.what()).find("TIMED OUT"), std::string::npos);
   }
-  EXPECT_EQ(rcw.stats().hardFailures, 1u);
-  EXPECT_EQ(rcw.stats().timeouts, 3u);  // initial attempt + 2 resend rounds
+  EXPECT_EQ(stats.hardFailures, 1u);
+  EXPECT_EQ(stats.timeouts, 3u);  // initial attempt + 2 resend rounds
   EXPECT_GE(f.machine.stats().linkFailures, 3u);  // original + both resends
 }
 
@@ -497,13 +531,12 @@ TEST(Recovery, ReplayRoutesAroundALinkMarkedFailed) {
   rc.timeout = sim::us(2);
   rc.maxResends = 2;
   rc.resendBackoff = sim::us(1);
-  core::RecoverableCountedWrite rcw(dstClient, 0, rc);
-  rcw.expectFrom(0, 1);
+  core::RecoveryStats stats;
+  const core::RecoveryHooks hooks = armedHooks(reg, rc, stats);
+  const std::map<int, std::uint64_t> bySource{{0, 1}};
   bool done = false;
   auto waiter = [&]() -> Task {
-    co_await rcw.await(1, [&](const core::WatchdogReport& r) {
-      return core::resendFromRegistry(f.machine, reg, r);
-    });
+    co_await core::awaitCounted(dstClient, 0, 1, bySource, hooks);
     done = true;
   };
   f.sim.spawn(waiter());
@@ -519,8 +552,8 @@ TEST(Recovery, ReplayRoutesAroundALinkMarkedFailed) {
   EXPECT_TRUE(done);
   EXPECT_EQ(dstClient.counterValue(0), 1u);
   EXPECT_EQ(dstClient.read<std::uint64_t>(0), 0xbeefu);
-  EXPECT_EQ(rcw.stats().resends, 1u) << "one replay must suffice";
-  EXPECT_EQ(rcw.stats().hardFailures, 0u);
+  EXPECT_EQ(stats.resends, 1u) << "one replay must suffice";
+  EXPECT_EQ(stats.hardFailures, 0u);
   EXPECT_EQ(f.machine.stats().linkFailures, 1u)
       << "the replay must never touch the marked link";
   EXPECT_GE(f.machine.stats().faultReroutes, 1u)
