@@ -147,8 +147,7 @@ constexpr int kTable3Workers = 4;
 /// slab-x layout over `shape` from the torus — the same construction the
 /// serve runner and the sharded determinism tests use.
 sim::ShardLayout slabLayout(util::TorusShape shape) {
-  return anton::verify::shardLayout(shape,
-                                    anton::verify::slabSharding(shape));
+  return anton::verify::shardLayout(shape, anton::verify::ShardFamily::kSlabX);
 }
 
 /// Fig. 5-shaped ping: counted 256 B remote writes to x-neighbors 1-4 hops

@@ -21,6 +21,30 @@ net::PayloadPtr packDoubles(std::span<const double> xs) {
   return net::makePayload(xs.data(), xs.size() * sizeof(double));
 }
 
+/// The line-broadcast table row of pattern (dim, pos) at line position `k`
+/// of an extent-`n` line. The broadcast reaches the positions ahead of the
+/// source (+dim chain, length n/2) and behind it (-dim chain, the rest):
+/// the source forks both ways without local delivery; every other position
+/// delivers to slice `dim` and forwards along its chain until the chain ends.
+MulticastEntry lineBroadcastEntry(int dim, int n, int pos, int k) {
+  int fwd = n / 2;
+  int bwd = n - 1 - fwd;
+  int kf = util::wrap(k - pos, n);
+  int kb = util::wrap(pos - k, n);
+  MulticastEntry e;
+  if (kf == 0) {
+    if (fwd >= 1) e.linkMask |= std::uint8_t(1u << RingLayout::adapterIndex(dim, +1));
+    if (bwd >= 1) e.linkMask |= std::uint8_t(1u << RingLayout::adapterIndex(dim, -1));
+  } else if (kf <= fwd) {
+    e.clientMask = std::uint8_t(1u << dim);  // slice `dim`
+    if (kf < fwd) e.linkMask |= std::uint8_t(1u << RingLayout::adapterIndex(dim, +1));
+  } else {  // kb <= bwd
+    e.clientMask = std::uint8_t(1u << dim);
+    if (kb < bwd) e.linkMask |= std::uint8_t(1u << RingLayout::adapterIndex(dim, -1));
+  }
+  return e;
+}
+
 }  // namespace
 
 // --- DimOrderedAllReduce ----------------------------------------------------
@@ -50,29 +74,12 @@ void DimOrderedAllReduce::installPatterns() {
   for (int dim = 0; dim < 3; ++dim) {
     int n = shape.extent(dim);
     if (n < 2) continue;
-    // The line broadcast from position `pos` reaches positions ahead of it
-    // (+dim chain, length fwd) and behind it (-dim chain, length bwd).
-    int fwd = n / 2;
-    int bwd = n - 1 - fwd;
     for (int pos = 0; pos < n; ++pos) {
       int id = patternId(dim, pos);
       for (int nodeIdx = 0; nodeIdx < machine_.numNodes(); ++nodeIdx) {
-        int j = util::torusCoordOf(nodeIdx, shape)[dim];
-        int kf = util::wrap(j - pos, n);
-        int kb = util::wrap(pos - j, n);
-        MulticastEntry e;
-        if (kf == 0) {
-          // Source position: fork both ways, no local delivery.
-          if (fwd >= 1) e.linkMask |= std::uint8_t(1u << RingLayout::adapterIndex(dim, +1));
-          if (bwd >= 1) e.linkMask |= std::uint8_t(1u << RingLayout::adapterIndex(dim, -1));
-        } else if (kf <= fwd) {
-          e.clientMask = std::uint8_t(1u << dim);  // slice `dim`
-          if (kf < fwd) e.linkMask |= std::uint8_t(1u << RingLayout::adapterIndex(dim, +1));
-        } else {  // kb <= bwd
-          e.clientMask = std::uint8_t(1u << dim);
-          if (kb < bwd) e.linkMask |= std::uint8_t(1u << RingLayout::adapterIndex(dim, -1));
-        }
-        machine_.setMulticastPattern(nodeIdx, id, e);
+        int k = util::torusCoordOf(nodeIdx, shape)[dim];
+        machine_.setMulticastPattern(nodeIdx, id,
+                                     lineBroadcastEntry(dim, n, pos, k));
       }
     }
   }
@@ -89,8 +96,6 @@ std::string DimOrderedAllReduce::appendPlan(verify::CommPlan& plan,
     std::string phase = std::string("allreduce.") + kDimName[dim];
     plan.addPhaseEdge(prev, phase);
     prev = phase;
-    int fwd = n / 2;
-    int bwd = n - 1 - fwd;
     for (int s = 0; s < machine_.numNodes(); ++s) {
       util::TorusCoord c = util::torusCoordOf(s, shape);
       int pos = c[dim];
@@ -132,24 +137,7 @@ std::string DimOrderedAllReduce::appendPlan(verify::CommPlan& plan,
         util::TorusCoord jc = c;
         jc[dim] = k;
         int j = util::torusIndex(jc, shape);
-        int kf = util::wrap(k - pos, n);
-        int kb = util::wrap(pos - k, n);
-        MulticastEntry entry;
-        if (kf == 0) {
-          if (fwd >= 1)
-            entry.linkMask |= std::uint8_t(1u << RingLayout::adapterIndex(dim, +1));
-          if (bwd >= 1)
-            entry.linkMask |= std::uint8_t(1u << RingLayout::adapterIndex(dim, -1));
-        } else if (kf <= fwd) {
-          entry.clientMask = std::uint8_t(1u << dim);
-          if (kf < fwd)
-            entry.linkMask |= std::uint8_t(1u << RingLayout::adapterIndex(dim, +1));
-        } else {
-          entry.clientMask = std::uint8_t(1u << dim);
-          if (kb < bwd)
-            entry.linkMask |= std::uint8_t(1u << RingLayout::adapterIndex(dim, -1));
-        }
-        mp.entries[j] = entry;
+        mp.entries[j] = lineBroadcastEntry(dim, n, pos, k);
         if (k != pos) {
           mp.declaredDests.push_back({j, dim});
           e.bySource[j] = 1;

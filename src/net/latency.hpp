@@ -117,7 +117,9 @@ struct LatencyConfig {
   //
   // A parallel event kernel sharded over the torus needs a provable *lower
   // bound* on how long any packet takes to cross from one node to a
-  // neighbor: that bound is the shard's lookahead (DESIGN.md §11). These
+  // neighbor: that bound is the shard's lookahead (DESIGN.md §11, the
+  // lookahead model; verify::shardLayout builds the kernel's layout from
+  // it). These
   // accessors derive it from the same constants the machine charges on the
   // live path (Machine::forwardOnLink): on-chip path to the exit adapter,
   // adapter out, wire, adapter in. Queueing, faults, stalls and

@@ -68,9 +68,10 @@ struct JobSpec {
   // and table2-allreduce accept it, and only without a fault model (no
   // fault-sweep, no degradedMode, no bitErrorRate): the sharded kernel
   // refuses fault hooks. The runner builds the layout from the torus
-  // (verify::shardLayout). Results are bit-identical to serial — sharding
-  // only changes wall-clock time. Serialized only when non-empty, so
-  // pre-sharding cache keys are unchanged.
+  // (verify::shardLayout with ShardFamily::kSlabX). Results are
+  // bit-identical to serial — sharding only changes wall-clock time.
+  // Serialized only when non-empty, so pre-sharding cache keys are
+  // unchanged.
   std::string sharding;
 
   friend bool operator==(const JobSpec&, const JobSpec&) = default;

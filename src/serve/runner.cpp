@@ -59,7 +59,7 @@ constexpr int kShardWorkers = 3;
 bool enableShardingFor(const JobSpec& spec, sim::Simulator& arena) {
   if (spec.sharding.empty()) return false;
   arena.enableSharded(
-      verify::shardLayout(spec.shape, verify::slabSharding(spec.shape)),
+      verify::shardLayout(spec.shape, verify::ShardFamily::kSlabX),
       kShardWorkers);
   return true;
 }

@@ -3,8 +3,8 @@
 // A ShardLayout is pure data: which shard owns each machine node and the
 // per-shard-pair channel lookahead bounds. It deliberately knows nothing
 // about how those numbers were derived — verify::shardLayout() (in
-// verify/lookahead.hpp) builds one from the torus topology and refuses a
-// sharding that splits a node. Keeping the kernel's input data-only
+// verify/lookahead.hpp) builds one from the torus topology for a shard
+// family whose shards are whole nodes. Keeping the kernel's input data-only
 // preserves the layering: src/sim never depends on src/verify.
 //
 // The synchronization-window width is the minimum pair bound

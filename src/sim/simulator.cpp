@@ -306,7 +306,7 @@ void Simulator::enableSharded(ShardLayout layout, int workers) {
     throw std::invalid_argument(
         "Simulator::enableSharded: sharding '" + layout.name +
         "' has a non-positive lookahead budget; a conservative kernel "
-        "cannot run ahead at all (see lookahead.zero)");
+        "cannot run ahead at all");
 
   layout_ = std::move(layout);
   lookaheadPs_ = cap;

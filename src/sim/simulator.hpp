@@ -218,9 +218,9 @@ class Simulator {
   // --- sharded (conservative-PDES) mode ------------------------------------
 
   /// Enter sharded mode. `layout` normally comes from verify::shardLayout(),
-  /// which refuses a sharding that splits a node (naming lookahead.zero);
-  /// enableSharded() additionally refuses any layout whose lookahead budget
-  /// is not positive.
+  /// whose shard families keep every node whole, so every pair bound is at
+  /// least one link crossing; enableSharded() refuses any layout whose
+  /// lookahead budget is not positive.
   /// `workers` (>= 1; capped at the shard count) worker threads execute
   /// shard windows. Throws if sharded mode is already on or if any
   /// registered participant refuses.

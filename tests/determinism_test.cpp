@@ -380,11 +380,11 @@ MdShardedResult mdRun(const std::string& shardingName, int workers) {
   net::Machine m(sim, {4, 4, 4});
   md::AntonMdApp app(m, sys, cfg);
   if (!shardingName.empty()) {
-    util::TorusShape shape{4, 4, 4};
-    verify::Sharding sharding = shardingName == "per-node"
-                                    ? verify::perNodeSharding(shape)
-                                    : verify::slabSharding(shape);
-    sim.enableSharded(verify::shardLayout(shape, sharding), workers);
+    sim.enableSharded(verify::shardLayout({4, 4, 4},
+                                          shardingName == "per-node"
+                                              ? verify::ShardFamily::kPerNode
+                                              : verify::ShardFamily::kSlabX),
+                      workers);
   }
   app.runSteps(3);
   MdShardedResult r;

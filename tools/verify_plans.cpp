@@ -30,12 +30,6 @@
 //                       (tools/plan_registry.hpp) or snapshot files; prints
 //                       one line per difference. Exit 0 when identical, 1
 //                       when the plans differ, 2 on error.
-//   --lookahead         static parallel-safety audit (ISSUE 8): prove every
-//                       cross-shard happens-before edge of each golden plan
-//                       meets the shard pair's lookahead bound under the
-//                       shipped shardings, and that each seeded-unsafe
-//                       sharding fires its diagnostic. Output mirrors to
-//                       VERIFY_lookahead.json (committed golden file).
 //   --oracle            live sharded-vs-serial identity: run the quickstart
 //                       MD and Fig. 5 ping shapes serially and on the
 //                       sharded kernel (per-node and slab-x, 2 workers,
@@ -55,7 +49,7 @@
 //                       inflation — plus seeded-bad plans that must fire
 //                       timing.contention and timing.degraded-blowup.
 //                       Output mirrors to VERIFY_timing.json (committed
-//                       golden file, like VERIFY_lookahead.json).
+//                       golden file).
 //   --timing-oracle     measured-latency oracle: run the live ping / MD /
 //                       all-reduce schedules and pin measured completion
 //                       >= static lower bound with the measured/bound
@@ -63,8 +57,7 @@
 //                       seeded inflated bound must be refuted.
 //                       Output mirrors to VERIFY_timing_oracle.json.
 //   --update-goldens [DIR]  regenerate the golden plan snapshots AND the
-//                       committed verify reports (VERIFY_lookahead.json,
-//                       VERIFY_timing.json) in DIR (default
+//                       committed VERIFY_timing.json in DIR (default
 //                       tests/golden_plans) in one step.
 #include <cstring>
 #include <filesystem>
@@ -405,121 +398,6 @@ void runSelfTests(Emitter& em, Totals& t) {
   }
 }
 
-// --- --lookahead: static parallel-safety audit (ISSUE 8 tentpole) -----------
-
-std::string lookaheadLine(const verify::LookaheadReport& r) {
-  std::ostringstream os;
-  os << "{\"kind\":\"lookahead\",\"plan\":" << JsonReporter::quoted(r.plan)
-     << ",\"sharding\":" << JsonReporter::quoted(r.sharding)
-     << ",\"shards\":" << r.numShards
-     << ",\"safeLookaheadNs\":" << JsonReporter::number(r.safeLookaheadNs)
-     << ",\"conflictDegree\":" << r.conflictDegree
-     << ",\"crossShardEdges\":" << r.crossShardEdges
-     << ",\"events\":" << r.eventsModeled << ",\"pairs\":" << r.pairs.size()
-     << ",\"violations\":" << r.violations.size()
-     << ",\"ok\":" << (r.ok() ? "true" : "false") << "}";
-  return os.str();
-}
-
-void emitLookahead(Emitter& em, const verify::LookaheadReport& r) {
-  em.line(lookaheadLine(r));
-  for (const verify::Violation& v : r.violations)
-    em.line(findingLine(r.plan, v));
-  // The tightest (and every violating) edge per shard pair, capped so the
-  // golden file stays reviewable; the cap only drops edges that are neither
-  // violating nor pair-minimal beyond the 8 tightest.
-  std::size_t cap = std::min<std::size_t>(8, r.criticalEdges.size());
-  for (std::size_t i = 0; i < cap; ++i) {
-    const verify::CriticalEdge& e = r.criticalEdges[i];
-    std::ostringstream os;
-    os << "{\"kind\":\"critical-edge\",\"plan\":"
-       << JsonReporter::quoted(r.plan)
-       << ",\"sharding\":" << JsonReporter::quoted(r.sharding)
-       << ",\"from\":" << JsonReporter::quoted(e.from)
-       << ",\"to\":" << JsonReporter::quoted(e.to)
-       << ",\"fromShard\":" << e.fromShard << ",\"toShard\":" << e.toShard
-       << ",\"latencyNs\":" << JsonReporter::number(e.latencyNs)
-       << ",\"boundNs\":" << JsonReporter::number(e.boundNs)
-       << ",\"violates\":" << (e.violates ? "true" : "false") << "}";
-    em.line(os.str());
-  }
-}
-
-/// Audit every registered golden plan under the shipped (safe) shardings,
-/// then prove each unsafe-sharding diagnostic fires on a seeded case.
-/// Output mirrors to VERIFY_lookahead.json (committed as a golden file).
-int runLookahead(const std::string& outPath = "VERIFY_lookahead.json") {
-  Emitter em(outPath);
-  int audits = 0, violations = 0, selftests = 0, selftestFailures = 0;
-  for (const std::string& name : tools::goldenPlanNames()) {
-    verify::CommPlan plan = tools::buildNamedPlan(name);
-    for (const verify::Sharding& sh :
-         {verify::perNodeSharding(plan.shape),
-          verify::slabSharding(plan.shape)}) {
-      verify::LookaheadReport r = verify::analyzeLookahead(plan, sh);
-      ++audits;
-      violations += int(r.violations.size());
-      emitLookahead(em, r);
-    }
-  }
-
-  // Seeded-unsafe shardings: each must fire its distinct diagnostic.
-  struct UnsafeCase {
-    std::string name;
-    std::string expect;
-    std::string planName;
-    verify::Sharding sharding;
-  };
-  std::vector<UnsafeCase> cases;
-  {
-    verify::CommPlan md = tools::buildNamedPlan("quickstart-md");
-    cases.push_back({"unsafe-split-node", "lookahead.zero", "quickstart-md",
-                     verify::splitNodeSharding(md.shape)});
-    cases.push_back({"unsafe-zero-cycle", "lookahead.deadlock",
-                     "quickstart-md", verify::splitNodeSharding(md.shape)});
-  }
-  {
-    verify::CommPlan ar = tools::buildNamedPlan("table2-allreduce-2x2x2");
-    cases.push_back({"unsafe-inflated-claim", "lookahead.slack",
-                     "table2-allreduce-2x2x2",
-                     verify::claimedLookaheadSharding(ar.shape, 10000.0)});
-  }
-  for (const UnsafeCase& c : cases) {
-    verify::CommPlan plan = tools::buildNamedPlan(c.planName);
-    verify::LookaheadReport r = verify::analyzeLookahead(plan, c.sharding);
-    std::string edge;  // the named critical edge of the fired diagnostic
-    bool fired = false;
-    for (const verify::Violation& v : r.violations)
-      if (v.check == c.expect) {
-        fired = true;
-        edge = v.detail;
-        break;
-      }
-    ++selftests;
-    if (!fired) ++selftestFailures;
-    std::ostringstream os;
-    os << "{\"kind\":\"selftest\",\"plan\":" << JsonReporter::quoted(c.name)
-       << ",\"expected\":" << JsonReporter::quoted(c.expect)
-       << ",\"violations\":" << r.violations.size()
-       << ",\"fired\":" << (fired ? "true" : "false")
-       << ",\"edge\":" << JsonReporter::quoted(edge) << "}";
-    em.line(os.str());
-  }
-
-  bool ok = violations == 0 && selftestFailures == 0;
-  std::ostringstream os;
-  os << "{\"kind\":\"summary\",\"mode\":\"lookahead\",\"audits\":" << audits
-     << ",\"violations\":" << violations << ",\"selftests\":" << selftests
-     << ",\"selftestFailures\":" << selftestFailures
-     << ",\"ok\":" << (ok ? "true" : "false") << "}";
-  em.line(os.str());
-  std::cerr << (ok ? "verify_plans --lookahead: OK"
-                   : "verify_plans --lookahead: FAILED")
-            << " (" << audits << " audits, " << violations << " violations, "
-            << selftestFailures << "/" << selftests << " selftest failures)\n";
-  return ok ? 0 : 1;
-}
-
 // --- --oracle: live sharded-vs-serial identity + barrier-guard selftest ----
 
 /// One live execution of an oracle workload, serial or sharded.
@@ -634,7 +512,7 @@ std::string shardedOracleLine(const OracleWorkload& w,
 /// when something other than a std::runtime_error was.
 std::string inflatedBoundRejection(const anton::util::TorusShape& shape) {
   sim::ShardLayout layout =
-      verify::shardLayout(shape, verify::perNodeSharding(shape));
+      verify::shardLayout(shape, verify::ShardFamily::kPerNode);
   for (auto& [pair, bound] : layout.pairBoundPs) bound = sim::us(1000.0);
   anton::sim::Simulator simulator;
   net::Machine machine(simulator, shape);
@@ -669,12 +547,12 @@ int runOracle() {
   for (const OracleWorkload& w : workloads) {
     LiveRun serial = runWorkload(w);
     em.line(serialOracleLine(w, serial));
-    for (const verify::Sharding& sh :
-         {verify::perNodeSharding(w.shape), verify::slabSharding(w.shape)}) {
-      sim::ShardLayout layout = verify::shardLayout(w.shape, sh);
+    for (verify::ShardFamily family :
+         {verify::ShardFamily::kPerNode, verify::ShardFamily::kSlabX}) {
+      sim::ShardLayout layout = verify::shardLayout(w.shape, family);
       LiveRun sharded = runWorkload(w, &layout);
       if (!sharded.matches(serial)) ++mismatches;
-      em.line(shardedOracleLine(w, sh.name, serial, sharded));
+      em.line(shardedOracleLine(w, layout.name, serial, sharded));
     }
   }
 
@@ -1192,18 +1070,16 @@ int runDump(const std::string& dir) {
 }
 
 /// --update-goldens: regenerate every committed snapshot in place — the
-/// plan JSON files plus the golden-diffed verify reports — so an intended
-/// extractor or pricing change is a one-command refresh.
+/// plan JSON files plus the golden-diffed VERIFY_timing.json — so an
+/// intended extractor or pricing change is a one-command refresh.
 int runUpdateGoldens(const std::string& dir) {
   runDump(dir);
-  int la = runLookahead(
-      (std::filesystem::path(dir) / "VERIFY_lookahead.json").string());
   int ti =
       runTiming((std::filesystem::path(dir) / "VERIFY_timing.json").string());
   std::cerr << "verify_plans --update-goldens: refreshed snapshots and "
-               "verify reports in "
+               "VERIFY_timing.json in "
             << dir << "\n";
-  return la != 0 || ti != 0 ? 1 : 0;
+  return ti;
 }
 
 }  // namespace
@@ -1228,7 +1104,6 @@ int main(int argc, char** argv) {
         return runDump(argv[i + 1]);
       }
       if (std::strcmp(argv[i], "--plan-keys") == 0) return runPlanKeys();
-      if (std::strcmp(argv[i], "--lookahead") == 0) return runLookahead();
       if (std::strcmp(argv[i], "--oracle") == 0) return runOracle();
       if (std::strcmp(argv[i], "--timing") == 0) return runTiming();
       if (std::strcmp(argv[i], "--timing-oracle") == 0)
@@ -1245,7 +1120,7 @@ int main(int argc, char** argv) {
       } else {
         std::cerr << "usage: verify_plans [--fast] [--selftest-only] "
                      "[--dump-plans DIR] [--diff A B] [--plan-keys] "
-                     "[--lookahead] [--oracle] [--timing] [--timing-oracle] "
+                     "[--oracle] [--timing] [--timing-oracle] "
                      "[--update-goldens [DIR]]\n";
         return 2;
       }
