@@ -20,7 +20,7 @@ using namespace anton;
 namespace {
 
 /// Static critical-path lower bound of a single one-corner ping (the same
-/// plan the verify_plans timing oracle prices), in ns. Recorded as the
+/// plan timing_test prices against the live machine), in ns. Recorded as the
 /// "paper" reference of the *_static_bound metrics: deviation is then the
 /// measured/bound slack minus one, which must stay non-negative (soundness)
 /// and within the committed baseline's trajectory (tightness).

@@ -1,6 +1,7 @@
 #include "serve/job_spec.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -131,10 +132,15 @@ std::vector<std::string> validateSpec(const JobSpec& s) {
   std::vector<std::string> errs;
   auto err = [&](const std::string& m) { errs.push_back(m); };
 
-  if (s.shape.nx < 1 || s.shape.ny < 1 || s.shape.nz < 1)
-    err("shape extents must all be >= 1");
-  else if (s.shape.size() > 4096)
-    err("shape too large: " + std::to_string(s.shape.size()) +
+  // Extents are capped before their product is taken, and the product is
+  // formed in 64 bits: TorusShape::size() overflows int on huge shapes.
+  const util::TorusShape& sh = s.shape;
+  if (sh.nx < 1 || sh.ny < 1 || sh.nz < 1 || sh.nx > 4096 || sh.ny > 4096 ||
+      sh.nz > 4096)
+    err("shape extents must all be in [1, 4096]");
+  else if (std::int64_t nodes = std::int64_t(sh.nx) * sh.ny * sh.nz;
+           nodes > 4096)
+    err("shape too large: " + std::to_string(nodes) +
         " nodes exceeds the 4096-node service cap");
   if (!std::isfinite(s.bitErrorRate) || s.bitErrorRate < 0.0 ||
       s.bitErrorRate > 0.01)

@@ -40,10 +40,9 @@
 //
 // Soundness contract: criticalPathNs never exceeds the live simulator's
 // completion time for a run executing at least one template round —
-// enforced dynamically by `verify_plans --timing-oracle`, which runs the
-// live ping/MD/all-reduce schedules, compares each measured completion
-// time against this bound, and pins the measured/bound slack ratio per
-// plan family.
+// enforced dynamically by timing_test, which runs the live ping/MD/
+// all-reduce schedules, compares each measured completion time against
+// this bound, and pins the measured/bound slack ratio per plan family.
 #pragma once
 
 #include <cstdint>

@@ -13,6 +13,7 @@
 #include "fault/plan.hpp"
 #include "md/anton_app.hpp"
 #include "net/machine.hpp"
+#include "plan_registry.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "trace/activity.hpp"
@@ -153,6 +154,26 @@ TEST(Determinism, TrafficStormMatchesThePinnedSchedule) {
   EXPECT_EQ(util::fnv1a64(tr.csv()), kStormTraceCsvDigest);
 }
 
+// The quickstart-shaped MD input of the tests below: 1536 atoms at seed 11,
+// with long-range and migration every second step.
+md::SyntheticSystemParams seed11System() {
+  md::SyntheticSystemParams sp;
+  sp.targetAtoms = 1536;
+  sp.temperature = 0.8;
+  sp.seed = 11;
+  return sp;
+}
+
+md::AntonMdConfig seed11Config() {
+  md::AntonMdConfig cfg;
+  cfg.force.cutoff = 2.2;
+  cfg.ewald.grid = 16;
+  cfg.homeBoxMarginFrac = 0.10;
+  cfg.migrationInterval = 2;
+  cfg.longRangeInterval = 2;
+  return cfg;
+}
+
 // The pinned end state of three quickstart-shaped MD supersteps (seed 11):
 // every position and velocity bit, and the final simulated clock.
 constexpr std::uint64_t kMdStateDigest = 0x59327ea8c2be33a4ULL;
@@ -161,17 +182,8 @@ constexpr sim::Time kMdFinalTime = 40262387;
 TEST(Determinism, MdTrajectoryMatchesThePinnedDigest) {
   // End-to-end: three MD supersteps (forces, FFT, migration, all-reduce)
   // reproduce the pinned trajectory exactly.
-  md::SyntheticSystemParams sp;
-  sp.targetAtoms = 1536;
-  sp.temperature = 0.8;
-  sp.seed = 11;
-  md::MDSystem sys = md::buildSyntheticSystem(sp);
-  md::AntonMdConfig cfg;
-  cfg.force.cutoff = 2.2;
-  cfg.ewald.grid = 16;
-  cfg.homeBoxMarginFrac = 0.10;
-  cfg.migrationInterval = 2;
-  cfg.longRangeInterval = 2;
+  md::MDSystem sys = md::buildSyntheticSystem(seed11System());
+  md::AntonMdConfig cfg = seed11Config();
 
   sim::Simulator sim;
   net::Machine m(sim, {4, 4, 4});
@@ -192,17 +204,8 @@ TEST(Determinism, MdTrajectoryMatchesThePinnedDigest) {
 TEST(Determinism, MdPositionsBitIdenticalWithZeroFaultPlan) {
   // The full Anton-mapped MD pipeline: a zero-fault plan must leave the
   // trajectory bit-identical to running without one.
-  md::SyntheticSystemParams sp;
-  sp.targetAtoms = 1536;
-  sp.temperature = 0.8;
-  sp.seed = 11;
-  md::MDSystem sys = md::buildSyntheticSystem(sp);
-  md::AntonMdConfig cfg;
-  cfg.force.cutoff = 2.2;
-  cfg.ewald.grid = 16;
-  cfg.homeBoxMarginFrac = 0.10;
-  cfg.migrationInterval = 2;
-  cfg.longRangeInterval = 2;
+  md::MDSystem sys = md::buildSyntheticSystem(seed11System());
+  md::AntonMdConfig cfg = seed11Config();
 
   auto run = [&](fault::FaultPlan* plan) {
     sim::Simulator sim;
@@ -236,17 +239,8 @@ TEST(Determinism, MdRecoveryArmedButIdleIsTimingInvisible) {
   // recovery-free, plan-free run. This pins the watchdog wake path to the
   // plain waitCounter schedule and the cancelled deadline events to zero
   // timeline cost.
-  md::SyntheticSystemParams sp;
-  sp.targetAtoms = 1536;
-  sp.temperature = 0.8;
-  sp.seed = 11;
-  md::MDSystem sys = md::buildSyntheticSystem(sp);
-  md::AntonMdConfig cfg;
-  cfg.force.cutoff = 2.2;
-  cfg.ewald.grid = 16;
-  cfg.homeBoxMarginFrac = 0.10;
-  cfg.migrationInterval = 2;
-  cfg.longRangeInterval = 2;
+  md::MDSystem sys = md::buildSyntheticSystem(seed11System());
+  md::AntonMdConfig cfg = seed11Config();
 
   struct Out {
     md::MDSystem sys;
@@ -304,16 +298,7 @@ constexpr std::uint64_t kLossyMdProgressRounds = 403;
 constexpr std::uint64_t kLossyMdDrops = 3428;
 
 TEST(Determinism, LossyArmedMdMatchesThePinnedSchedule) {
-  md::SyntheticSystemParams sp;
-  sp.targetAtoms = 1536;
-  sp.temperature = 0.8;
-  sp.seed = 11;
-  md::AntonMdConfig cfg;
-  cfg.force.cutoff = 2.2;
-  cfg.ewald.grid = 16;
-  cfg.homeBoxMarginFrac = 0.10;
-  cfg.migrationInterval = 2;
-  cfg.longRangeInterval = 2;
+  md::AntonMdConfig cfg = seed11Config();
   cfg.recoveryTimeoutUs = 1000.0;
   cfg.recoveryMaxResends = 40;
   cfg.recoveryBackoffUs = 0.5;
@@ -325,7 +310,7 @@ TEST(Determinism, LossyArmedMdMatchesThePinnedSchedule) {
   sim::Simulator sim;
   net::Machine m(sim, {4, 4, 4});
   m.setFaultModel(&plan);
-  md::AntonMdApp app(m, md::buildSyntheticSystem(sp), cfg);
+  md::AntonMdApp app(m, md::buildSyntheticSystem(seed11System()), cfg);
   app.runSteps(3);
   md::MDSystem out = app.gatherSystem();
 
@@ -357,28 +342,38 @@ struct MdShardedResult {
   std::uint64_t scheduleDigest = 0;
   std::uint64_t migrated = 0;
   std::vector<md::StepTiming> timings;
+  std::uint64_t windows = 0;  ///< sharded windows (0 when serial)
 };
 
-// Three MD supersteps (forces, FFT convolution, thermostat, migration) on a
-// 4x4x4 machine, optionally under the sharded kernel. Recovery stays off:
-// the drop registry is the one cross-node mutable object the step tasks
-// share, so sharded MD runs are only defined without it.
-MdShardedResult mdRun(const std::string& shardingName, int workers) {
+// One sharded-MD input: the system, its configuration and the step count.
+struct MdInput {
+  md::SyntheticSystemParams system;
+  md::AntonMdConfig cfg;
+  int steps = 0;
+};
+
+// Three seed-11 supersteps (forces, FFT convolution, thermostat, migration).
+MdInput seed11Input() { return {seed11System(), seed11Config(), 3}; }
+
+// The quickstart MD run of the "quickstart-md" golden plan: two supersteps
+// of tools::quickstartMdConfig() on 1536 atoms at seed 2010.
+MdInput quickstartInput() {
   md::SyntheticSystemParams sp;
   sp.targetAtoms = 1536;
-  sp.temperature = 0.8;
-  sp.seed = 11;
-  md::MDSystem sys = md::buildSyntheticSystem(sp);
-  md::AntonMdConfig cfg;
-  cfg.force.cutoff = 2.2;
-  cfg.ewald.grid = 16;
-  cfg.homeBoxMarginFrac = 0.10;
-  cfg.migrationInterval = 2;
-  cfg.longRangeInterval = 2;
+  sp.seed = 2010;
+  return {sp, tools::quickstartMdConfig(), 2};
+}
 
+// `in` on a 4x4x4 machine, optionally under the sharded kernel. Recovery is
+// disarmed: the drop registry is the one cross-node mutable object the step
+// tasks share, so sharded MD runs are only defined without it.
+MdShardedResult mdRun(const MdInput& in, const std::string& shardingName,
+                      int workers) {
+  md::AntonMdConfig cfg = in.cfg;
+  cfg.recoveryTimeoutUs = 0;
   sim::Simulator sim;
   net::Machine m(sim, {4, 4, 4});
-  md::AntonMdApp app(m, sys, cfg);
+  md::AntonMdApp app(m, md::buildSyntheticSystem(in.system), cfg);
   if (!shardingName.empty()) {
     sim.enableSharded(verify::shardLayout({4, 4, 4},
                                           shardingName == "per-node"
@@ -386,8 +381,9 @@ MdShardedResult mdRun(const std::string& shardingName, int workers) {
                                               : verify::ShardFamily::kSlabX),
                       workers);
   }
-  app.runSteps(3);
+  app.runSteps(in.steps);
   MdShardedResult r;
+  r.windows = sim.shardedStats().windows;
   if (!shardingName.empty()) sim.disableSharded();
   r.stats = m.stats();
   r.sys = app.gatherSystem();
@@ -425,17 +421,27 @@ void expectMdIdentical(const MdShardedResult& a, const MdShardedResult& b) {
 }
 
 TEST(Determinism, MdShardedPerNodeMatchesSerialBitIdentically) {
-  MdShardedResult serial = mdRun("", 0);
-  MdShardedResult sharded = mdRun("per-node", 1);
+  MdShardedResult serial = mdRun(seed11Input(), "", 0);
+  MdShardedResult sharded = mdRun(seed11Input(), "per-node", 1);
   expectMdIdentical(serial, sharded);
 }
 
 TEST(Determinism, MdShardedSlabWithWorkersMatchesSerial) {
-  MdShardedResult serial = mdRun("", 0);
-  MdShardedResult slab = mdRun("slab-x", 2);
+  MdShardedResult serial = mdRun(seed11Input(), "", 0);
+  MdShardedResult slab = mdRun(seed11Input(), "slab-x", 2);
   expectMdIdentical(serial, slab);
-  MdShardedResult perNode = mdRun("per-node", 4);
+  MdShardedResult perNode = mdRun(seed11Input(), "per-node", 4);
   expectMdIdentical(serial, perNode);
+}
+
+TEST(Determinism, MdShardedQuickstartMatchesSerial) {
+  MdShardedResult serial = mdRun(quickstartInput(), "", 0);
+  for (const char* sharding : {"per-node", "slab-x"}) {
+    SCOPED_TRACE(sharding);
+    MdShardedResult sharded = mdRun(quickstartInput(), sharding, 2);
+    expectMdIdentical(serial, sharded);
+    EXPECT_GT(sharded.windows, 0u);
+  }
 }
 
 }  // namespace

@@ -4,15 +4,18 @@
 // named shipped plan (tools/plan_registry.hpp). Rebuilding the plan from
 // source and structurally diffing it against the committed file turns any
 // silent change to the communication shape — a packet count, a tree edge, a
-// buffer lifetime — into a reviewable delta. Regenerate intentionally with
+// buffer lifetime — into a reviewable delta, and every snapshot file must
+// name a registry plan. Regenerate intentionally with
 //   ./build/tools/verify_plans --dump-plans tests/golden_plans
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "plan_registry.hpp"
 #include "verify/checks.hpp"
@@ -49,6 +52,22 @@ TEST(GoldenPlans, CommittedSnapshotsMatchTheExtractors) {
     // describe still passes the verifier.
     EXPECT_EQ(planToJson(golden), json);
     EXPECT_TRUE(verifyPlan(built).ok());
+  }
+}
+
+// The other direction: every committed snapshot still names a registry
+// plan, so a renamed or retired plan cannot leave a stale file behind. The
+// VERIFY_*.json files are verifier reports, not plan snapshots.
+TEST(GoldenPlans, EveryCommittedSnapshotNamesARegistryPlan) {
+  const std::vector<std::string> names = tools::goldenPlanNames();
+  const std::set<std::string> known(names.begin(), names.end());
+  for (const std::filesystem::directory_entry& e :
+       std::filesystem::directory_iterator(GOLDEN_PLANS_DIR)) {
+    const std::filesystem::path& path = e.path();
+    const std::string stem = path.stem().string();
+    if (path.extension() != ".json" || stem.rfind("VERIFY_", 0) == 0) continue;
+    EXPECT_TRUE(known.count(stem) != 0)
+        << path.string() << " names no plan in tools::goldenPlanNames()";
   }
 }
 

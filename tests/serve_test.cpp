@@ -88,6 +88,13 @@ TEST(JobSpec, ValidationCatchesOutOfRangeFields) {
 
   bad = table2AllReduceSpec({0, 4, 4});
   EXPECT_FALSE(validateSpec(bad).empty());
+
+  // Node counts that overflow int must not wrap past the 4096-node cap.
+  for (const char* shape : {"65536x65536x1", "1048576x1048576x1048576"}) {
+    SCOPED_TRACE(shape);
+    bad = table2AllReduceSpec(parseShape(shape));
+    EXPECT_FALSE(validateSpec(bad).empty());
+  }
 }
 
 TEST(JobSpec, ParseShapeAcceptsAxBxCOnly) {
@@ -257,6 +264,18 @@ TEST(JobServer, ParallelResultsMatchSerialExecutionBitForBit) {
     EXPECT_EQ(rec.state, JobState::kDone) << rec.error;
     EXPECT_EQ(rec.violations, 0);
     EXPECT_FALSE(rec.cacheHit);
+    EXPECT_EQ(rec.resultJson, serial[i].resultJson);
+    EXPECT_EQ(rec.digest, serial[i].digest);
+  }
+
+  // Resubmitting the whole workload is served entirely from the cache.
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    SCOPED_TRACE(specToJson(specs[i]));
+    SubmitOutcome out = server.submit(specs[i]);
+    ASSERT_TRUE(out.accepted) << out.reason;
+    JobRecord rec = server.wait(out.id);
+    EXPECT_EQ(rec.state, JobState::kDone) << rec.error;
+    EXPECT_TRUE(rec.cacheHit);
     EXPECT_EQ(rec.resultJson, serial[i].resultJson);
     EXPECT_EQ(rec.digest, serial[i].digest);
   }
@@ -441,6 +460,8 @@ TEST(Protocol, MalformedRequestsKeepTheServerHealthy) {
         "{\"op\":\"submit\",\"spec\":{\"family\":\"no-such-family\"}}",
         "{\"op\":\"submit\",\"spec\":{\"family\":\"quickstart-md\","
         "\"steps\":-1}}",
+        "{\"op\":\"submit\",\"spec\":{\"family\":\"table2-allreduce\","
+        "\"shape\":\"65536x65536x1\"}}",
         "{\"op\":\"poll\",\"id\":999}"}) {
     SCOPED_TRACE(line);
     ProtocolResult r = handleLine(server, line);

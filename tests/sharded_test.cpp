@@ -14,11 +14,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "net/machine.hpp"
+#include "net/probe.hpp"
 #include "plan_registry.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
@@ -36,15 +38,18 @@ void mix(std::uint64_t& h, std::uint64_t v) {
   }
 }
 
-// FNV-1a over every client memory and counter bank of the machine.
-std::uint64_t machineDigest(net::Machine& m) {
+// FNV-1a over every counter bank of the machine, and over every client
+// memory when `withMemory`.
+std::uint64_t machineDigest(net::Machine& m, bool withMemory) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (int n = 0; n < m.numNodes(); ++n) {
     for (int c = 0; c < net::kClientsPerNode; ++c) {
       net::NetworkClient& cl = m.client({n, c});
-      for (std::byte b : cl.memory()) {
-        h ^= std::uint64_t(b);
-        h *= 0x100000001b3ULL;
+      if (withMemory) {
+        for (std::byte b : cl.memory()) {
+          h ^= std::uint64_t(b);
+          h *= 0x100000001b3ULL;
+        }
       }
       for (int k = 0; k < cl.numCounters(); ++k) mix(h, cl.counterValue(k));
     }
@@ -80,11 +85,14 @@ void postStorm(net::Machine& m, std::uint64_t seed) {
   }
 }
 
-// The storm, optionally run under a sharding. `shardingName` empty =
-// serial; otherwise "per-node" or "slab-x".
-StormResult trafficStorm(std::uint64_t seed, const std::string& shardingName,
-                         int workers) {
-  util::TorusShape shape{4, 4, 4};
+// One run of `drive` on a fresh `shape` machine, optionally under a
+// sharding. `shardingName` empty = serial; otherwise "per-node" or
+// "slab-x". `drive` posts the traffic and runs the simulator to completion;
+// `withMemory` folds every client memory into the machine digest.
+StormResult shardedRun(util::TorusShape shape,
+                       const std::function<void(net::Machine&)>& drive,
+                       const std::string& shardingName, int workers,
+                       bool withMemory) {
   sim::Simulator sim;
   net::Machine m(sim, shape);
   trace::ActivityTrace trace;
@@ -96,17 +104,47 @@ StormResult trafficStorm(std::uint64_t seed, const std::string& shardingName,
                                               : verify::ShardFamily::kSlabX),
                       workers);
   }
-  postStorm(m, seed);
+  drive(m);
   StormResult r;
-  r.events = sim.run();
+  r.events = sim.eventsProcessed();
   r.sharded = sim.shardedStats();
   if (!shardingName.empty()) sim.disableSharded();
   r.stats = m.stats();
-  r.digest = machineDigest(m);
+  r.digest = machineDigest(m, withMemory);
   r.finalTime = sim.now();
   r.traceCsv = trace.csv();
   r.scheduleDigest = sim.scheduleDigest();
   return r;
+}
+
+// The storm on the 4x4x4 torus.
+StormResult trafficStorm(std::uint64_t seed, const std::string& shardingName,
+                         int workers) {
+  return shardedRun(
+      {4, 4, 4},
+      [seed](net::Machine& m) {
+        postStorm(m, seed);
+        m.sim().run();
+      },
+      shardingName, workers, /*withMemory=*/true);
+}
+
+// The Fig. 5 pings: three 64 B one-way counted writes on the paper's 8x8x8
+// torus, from node 0 to corners 1, 4 and 12 hops away. The digest skips
+// client memories: hashing 512 nodes' worth costs seconds, and the counters
+// it keeps already record every delivery.
+StormResult fig5Pings(const std::string& shardingName, int workers) {
+  return shardedRun(
+      {8, 8, 8},
+      [](net::Machine& m) {
+        for (util::TorusCoord dst :
+             {util::TorusCoord{1, 0, 0}, util::TorusCoord{2, 2, 0},
+              util::TorusCoord{4, 4, 4}})
+          net::oneWayLatencyNs(
+              m, {0, net::kSlice0},
+              {util::torusIndex(dst, m.shape()), net::kSlice0}, 64);
+      },
+      shardingName, workers, /*withMemory=*/false);
 }
 
 void expectIdentical(const StormResult& serial, const StormResult& sharded) {
@@ -132,6 +170,16 @@ TEST(ShardedKernel, SlabStormIsBitIdenticalToSerial) {
   for (int workers : {1, 2, 4}) {
     SCOPED_TRACE(workers);
     expectIdentical(serial, trafficStorm(11, "slab-x", workers));
+  }
+}
+
+TEST(ShardedKernel, Fig5PingsAreBitIdenticalToSerial) {
+  StormResult serial = fig5Pings("", 0);
+  for (const char* sharding : {"per-node", "slab-x"}) {
+    SCOPED_TRACE(sharding);
+    StormResult sharded = fig5Pings(sharding, 2);
+    expectIdentical(serial, sharded);
+    EXPECT_GT(sharded.sharded.windows, 0u);
   }
 }
 

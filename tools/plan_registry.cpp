@@ -210,20 +210,6 @@ verify::CommPlan buildPingPlan(util::TorusCoord corner,
   return p;
 }
 
-SlackEnvelope timingSlackEnvelope(const std::string& family) {
-  // Pinned from the CI oracle runs (verify_plans --timing-oracle) with
-  // roughly 2x headroom over the observed ratio; see DESIGN.md §12 for what
-  // widens each family's slack. Observed: ping 1.05-1.13 (pure
-  // communication, the bound is tight); all-reduce ~2.15 (per-stage
-  // synchronization waits the bound's free program-order edges don't
-  // price); quickstart-md ~31 (a live MD step is dominated by force/FFT
-  // compute between the communication phases the bound prices).
-  if (family == "fig5-ping") return {1.5};
-  if (family == "quickstart-md") return {60.0};
-  if (family == "table2-allreduce") return {4.0};
-  return {};
-}
-
 verify::CommPlan buildNamedPlan(const std::string& name) {
   if (name == "quickstart-md")
     return buildMdPlan(name, {4, 4, 4}, 1536, quickstartMdConfig());

@@ -40,20 +40,9 @@ verify::CommPlan buildNamedPlan(const std::string& name);
 
 /// One-corner one-way ping plan on `shape` (the Fig. 5 torus by default):
 /// node 0 posts a single counted write which the corner waits for. The unit
-/// plan the timing oracle prices statically and compares against a live
+/// plan timing_test prices statically and compares against a live
 /// net::oneWayLatencyNs measurement of the same pair.
 verify::CommPlan buildPingPlan(util::TorusCoord corner,
                                util::TorusShape shape = {8, 8, 8});
-
-/// Pinned measured/static-bound slack of one timing-oracle plan family
-/// (DESIGN.md §12). The live schedule must complete no earlier than the
-/// static lower bound (ratio >= 1, the soundness half) and no slacker than
-/// `maxRatio` (the tightness half): drift past the envelope means the
-/// analyzer's pricing decoupled from the machine model and must be
-/// re-derived, not re-pinned blindly.
-struct SlackEnvelope {
-  double maxRatio = 2.0;
-};
-SlackEnvelope timingSlackEnvelope(const std::string& family);
 
 }  // namespace anton::tools

@@ -1,5 +1,4 @@
-// verify_plans: static communication-plan verifier CLI (ISSUE 3 tentpole,
-// deepened by ISSUE 4's event-granular happens-before checks).
+// verify_plans: static communication-plan verifier CLI.
 //
 // Extracts the static communication graph of each shipped configuration —
 // the quickstart MD run, the Fig. 5 ping topology, the Table 2 all-reduce
@@ -8,54 +7,36 @@
 // count consistency, multicast well-formedness (healthy and under declared
 // down links, with tree repair), event-level buffer-reuse safety, static
 // deadlock freedom, route dimension order, and recovery coverage
-// (src/verify/checks.hpp).
+// (src/verify/checks.hpp). The seeded known-bad plans that prove each check
+// fires are verify_test cases.
 //
 // Output is strict JSON lines on stdout, mirrored to VERIFY_plans.json:
 //   {"kind":"plan", ...}       one per verified plan
 //   {"kind":"violation", ...}  each Severity::kError finding
 //   {"kind":"lint", ...}       each Severity::kLint finding
-//   {"kind":"selftest", ...}   each seeded known-bad plan (must fire)
 //   {"kind":"summary", ...}    totals; "ok" decides the exit code
 //
 // Exit status: 0 when every shipped plan is violation-free AND free of
-// recovery-coverage lints (every counted wait must have a recovery story,
-// ISSUE 5), and every seeded bad plan produced its expected finding; 1
-// otherwise. Other lints stay advisory.
+// recovery-coverage lints (every counted wait must have a recovery story);
+// 1 otherwise. Other lints stay advisory.
 //
-// Modes and flags:
-//   --fast              skip the 512-node Table 3 extraction
-//   --selftest-only     run only the seeded bad plans
+// Modes:
 //   --dump-plans DIR    write each golden plan's JSON snapshot into DIR
 //   --diff A B          structural plan delta. A and B are plan names
 //                       (tools/plan_registry.hpp) or snapshot files; prints
 //                       one line per difference. Exit 0 when identical, 1
 //                       when the plans differ, 2 on error.
-//   --oracle            live sharded-vs-serial identity: run the quickstart
-//                       MD and Fig. 5 ping shapes serially and on the
-//                       sharded kernel (per-node and slab-x, 2 workers,
-//                       layout from the torus, whose window barrier checks
-//                       every cross-shard message against its pair's
-//                       bound) and require equal stats, final clock and
-//                       Simulator::scheduleDigest(); a selftest inflates
-//                       every pair bound to 1 ms and requires the barrier
-//                       to throw sharded.lookahead. Output mirrors to
-//                       VERIFY_oracle.json.
-//   --timing            static critical-path & link-occupancy audit (ISSUE
-//                       9): price every golden plan's happens-before graph
-//                       with the calibrated latency model — critical-path
-//                       lower bound with the bottleneck named event-by-
-//                       event, per-link x per-phase occupancy hotspots with
-//                       the timing.contention check, and degraded-mode
-//                       inflation — plus seeded-bad plans that must fire
-//                       timing.contention and timing.degraded-blowup.
-//                       Output mirrors to VERIFY_timing.json (committed
-//                       golden file).
-//   --timing-oracle     measured-latency oracle: run the live ping / MD /
-//                       all-reduce schedules and pin measured completion
-//                       >= static lower bound with the measured/bound
-//                       slack inside each family's pinned envelope; a
-//                       seeded inflated bound must be refuted.
-//                       Output mirrors to VERIFY_timing_oracle.json.
+//   --plan-keys         one "<name> <planKeyHex>" line per golden plan
+//   --timing            static critical-path & link-occupancy audit: price
+//                       every golden plan's happens-before graph with the
+//                       calibrated latency model — critical-path lower
+//                       bound with the bottleneck named event-by-event,
+//                       per-link x per-phase occupancy hotspots with the
+//                       timing.contention check, and degraded-mode
+//                       inflation. Output mirrors to VERIFY_timing.json
+//                       (committed golden file). The seeded-bad timing
+//                       plans and the live checks that each bound is sound
+//                       are timing_test cases.
 //   --update-goldens [DIR]  regenerate the golden plan snapshots AND the
 //                       committed VERIFY_timing.json in DIR (default
 //                       tests/golden_plans) in one step.
@@ -66,17 +47,10 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "bench_common.hpp"
-#include "core/allreduce.hpp"
-#include "net/latency.hpp"
-#include "net/probe.hpp"
 #include "plan_registry.hpp"
-#include "sim/simulator.hpp"
-#include "util/json.hpp"
 #include "verify/checks.hpp"
-#include "verify/lookahead.hpp"
 #include "verify/snapshot.hpp"
 #include "verify/timing.hpp"
 
@@ -85,9 +59,6 @@ using anton::bench::JsonReporter;
 namespace {
 
 namespace verify = anton::verify;
-namespace net = anton::net;
-namespace core = anton::core;
-namespace sim = anton::sim;
 namespace tools = anton::tools;
 
 struct Emitter {
@@ -105,8 +76,6 @@ struct Totals {
   int violations = 0;
   int lints = 0;
   int recoveryLints = 0;  ///< recovery-coverage lints gate like violations
-  int selftests = 0;
-  int selftestFailures = 0;
 };
 
 std::string shapeStr(const anton::util::TorusShape& s) {
@@ -136,7 +105,7 @@ verify::VerifyResult runPlan(Emitter& em, Totals& t,
   ++t.plans;
   t.violations += int(r.violations.size());
   t.lints += int(r.lints.size());
-  // Every shipped counted wait now has a recovery story (ISSUE 5), so an
+  // Every shipped counted wait has a recovery story, so an
   // unarmed wait is a regression, not advice: it gates the exit code.
   for (const verify::Violation& v : r.lints)
     if (v.check == "recovery-coverage") ++t.recoveryLints;
@@ -165,428 +134,7 @@ verify::VerifyResult runPlan(Emitter& em, Totals& t,
   return r;
 }
 
-// --- seeded known-bad plans (each must fire its specific check) -------------
-
-struct SelfTest {
-  std::string name;
-  std::string expect;  ///< check id that must appear among the violations
-  verify::CommPlan plan;
-  verify::VerifyOptions opts;
-};
-
-std::vector<SelfTest> selfTests() {
-  std::vector<SelfTest> tests;
-  {
-    SelfTest t;  // wait expects 2 packets/round, plan delivers 1
-    t.name = "bad-count";
-    t.expect = "count";
-    t.plan.name = t.name;
-    t.plan.shape = {2, 1, 1};
-    t.plan.addPhaseEdge("send", "recv");
-    verify::PlannedWrite w;
-    w.phase = "send";
-    w.srcNode = 0;
-    w.dst = {1, net::kSlice0};
-    w.counterId = 0;
-    t.plan.writes.push_back(w);
-    verify::CounterExpectation e;
-    e.site = "recv";
-    e.phase = "recv";
-    e.client = {1, net::kSlice0};
-    e.counterId = 0;
-    e.perRound = 2;
-    e.recoveryArmed = true;
-    t.plan.expectations.push_back(e);
-    tests.push_back(std::move(t));
-  }
-  {
-    SelfTest t;  // +x links all the way around a 4-ring: the walk re-enters
-    t.name = "bad-multicast-cycle";
-    t.expect = "multicast.cycle";
-    t.plan.name = t.name;
-    t.plan.shape = {4, 1, 1};
-    verify::MulticastPlanEntry m;
-    m.patternId = 7;
-    m.srcNode = 0;
-    int xPlus = net::RingLayout::adapterIndex(0, +1);
-    for (int n = 0; n < 4; ++n)
-      m.entries[n].linkMask = std::uint8_t(1u << xPlus);
-    m.entries[2].clientMask = std::uint8_t(1u << net::kSlice0);
-    m.declaredDests = {{2, net::kSlice0}};
-    t.plan.multicasts.push_back(std::move(m));
-    tests.push_back(std::move(t));
-  }
-  {
-    SelfTest t;  // pattern id beyond the 256-entry per-node tables
-    t.name = "bad-pattern-limit";
-    t.expect = "multicast.pattern-limit";
-    t.plan.name = t.name;
-    t.plan.shape = {2, 1, 1};
-    verify::MulticastPlanEntry m;
-    m.patternId = net::kMulticastPatterns;  // first invalid id
-    m.srcNode = 0;
-    m.entries[0].clientMask = std::uint8_t(1u << net::kSlice0);
-    m.declaredDests = {{0, net::kSlice0}};
-    t.plan.multicasts.push_back(std::move(m));
-    tests.push_back(std::move(t));
-  }
-  {
-    SelfTest t;  // no return traffic: nothing orders the next-round write
-    t.name = "bad-buffer-reuse";
-    t.expect = "buffer-reuse";
-    t.plan.name = t.name;
-    t.plan.shape = {2, 1, 1};
-    t.plan.addPhaseEdge("send", "recv");
-    verify::PlannedWrite w;
-    w.phase = "send";
-    w.srcNode = 0;
-    w.dst = {1, net::kSlice0};
-    w.counterId = 0;
-    t.plan.writes.push_back(w);
-    verify::CounterExpectation e;
-    e.site = "recv";
-    e.phase = "recv";
-    e.client = {1, net::kSlice0};
-    e.counterId = 0;
-    e.perRound = 1;
-    e.recoveryArmed = true;
-    t.plan.expectations.push_back(e);
-    verify::BufferPlan b;
-    b.name = "slot";
-    b.client = {1, net::kSlice0};
-    b.bytes = 32;
-    b.freePhase = "recv";
-    b.writers.push_back({0, "send"});
-    t.plan.buffers.push_back(b);
-    tests.push_back(std::move(t));
-  }
-  {
-    SelfTest t;  // reroute around a mid-path outage resumes x after y: x,y,x
-    t.name = "bad-route-dim-order";
-    t.expect = "route.dim-order";
-    t.plan.name = t.name;
-    t.plan.shape = {4, 4, 1};
-    t.plan.addPhaseEdge("send", "recv");
-    verify::PlannedWrite w;
-    w.phase = "send";
-    w.srcNode = 0;
-    w.dst = {anton::util::torusIndex({2, 1, 0}, t.plan.shape), net::kSlice0};
-    w.counterId = 0;
-    t.plan.writes.push_back(w);
-    verify::CounterExpectation e;
-    e.site = "recv";
-    e.phase = "recv";
-    e.client = w.dst;
-    e.counterId = 0;
-    e.perRound = 1;
-    e.recoveryArmed = true;
-    t.plan.expectations.push_back(e);
-    t.opts.downLinks = {{1, 0, +1}};  // +x out of node (1,0,0) is down
-    t.opts.routeIssuesAreErrors = true;
-    tests.push_back(std::move(t));
-  }
-  {
-    // The dim-ordered all-reduce with every receive slot single-buffered.
-    // Legal under phase-atomic checking (each phase's wait "covers" the
-    // frees), but the event graph sees that each node multicasts *before*
-    // its wait, so nothing orders a peer's next-round send after this
-    // node's read — the race the paper's parity double-buffering exists to
-    // prevent.
-    SelfTest t;
-    t.name = "bad-single-buffered-allreduce";
-    t.expect = "buffer-reuse";
-    anton::sim::Simulator sim;
-    net::Machine machine(sim, {2, 2, 2});
-    core::DimOrderedAllReduce reduce(machine);
-    t.plan.name = t.name;
-    t.plan.shape = {2, 2, 2};
-    reduce.appendPlan(t.plan, "");
-    for (verify::BufferPlan& b : t.plan.buffers) b.copies = 1;
-    tests.push_back(std::move(t));
-  }
-  {
-    SelfTest t;  // both nodes wait for the packet the other sends afterwards
-    t.name = "bad-deadlock";
-    t.expect = "event.deadlock";
-    t.plan.name = t.name;
-    t.plan.shape = {2, 1, 1};
-    t.plan.addPhase("exchange");
-    for (int n = 0; n < 2; ++n) {
-      verify::PlannedWrite w;
-      w.phase = "exchange";
-      w.srcNode = n;
-      w.dst = {1 - n, net::kSlice0};
-      w.counterId = 0;
-      w.seq = 1;  // send issued after the wait below
-      t.plan.writes.push_back(w);
-      verify::CounterExpectation e;
-      e.site = "exchange";
-      e.phase = "exchange";
-      e.client = {n, net::kSlice0};
-      e.counterId = 0;
-      e.perRound = 1;
-      e.recoveryArmed = true;
-      e.seq = 0;
-      t.plan.expectations.push_back(e);
-    }
-    tests.push_back(std::move(t));
-  }
-  {
-    SelfTest t;  // a counted wait with no recovery armed: a dropped packet
-                 // would hang the phase forever (gating lint since ISSUE 5)
-    t.name = "bad-recovery-unarmed";
-    t.expect = "recovery-coverage";
-    t.plan.name = t.name;
-    t.plan.shape = {2, 1, 1};
-    t.plan.addPhaseEdge("send", "recv");
-    verify::PlannedWrite w;
-    w.phase = "send";
-    w.srcNode = 0;
-    w.dst = {1, net::kSlice0};
-    w.counterId = 0;
-    t.plan.writes.push_back(w);
-    verify::CounterExpectation e;
-    e.site = "recv";
-    e.phase = "recv";
-    e.client = {1, net::kSlice0};
-    e.counterId = 0;
-    e.perRound = 1;
-    e.recoveryArmed = false;
-    t.plan.expectations.push_back(e);
-    tests.push_back(std::move(t));
-  }
-  {
-    SelfTest t;  // a down +x link severs a pure-x line fan-out: no reroute
-    t.name = "bad-multicast-stalled";
-    t.expect = "multicast.stalled";
-    t.plan.name = t.name;
-    t.plan.shape = {4, 1, 1};
-    verify::MulticastPlanEntry m;
-    m.patternId = 9;
-    m.srcNode = 0;
-    int xPlus = net::RingLayout::adapterIndex(0, +1);
-    for (int n = 0; n < 3; ++n)
-      m.entries[n].linkMask = std::uint8_t(1u << xPlus);
-    for (int n = 1; n < 4; ++n) {
-      m.entries[n].clientMask = std::uint8_t(1u << net::kSlice0);
-      m.declaredDests.push_back({n, net::kSlice0});
-    }
-    t.plan.multicasts.push_back(std::move(m));
-    t.opts.downLinks = {{0, 0, +1}};
-    t.opts.routeIssuesAreErrors = true;
-    tests.push_back(std::move(t));
-  }
-  return tests;
-}
-
-void runSelfTests(Emitter& em, Totals& t) {
-  for (SelfTest& st : selfTests()) {
-    verify::VerifyResult r = verify::verifyPlan(st.plan, st.opts);
-    bool fired = false;
-    for (const verify::Violation& v : r.violations)
-      if (v.check == st.expect) fired = true;
-    for (const verify::Violation& v : r.lints)  // gating lint selftests
-      if (v.check == st.expect) fired = true;
-    ++t.selftests;
-    if (!fired) ++t.selftestFailures;
-    std::ostringstream os;
-    os << "{\"kind\":\"selftest\",\"plan\":" << JsonReporter::quoted(st.name)
-       << ",\"expected\":" << JsonReporter::quoted(st.expect)
-       << ",\"violations\":" << r.violations.size()
-       << ",\"fired\":" << (fired ? "true" : "false") << "}";
-    em.line(os.str());
-  }
-}
-
-// --- --oracle: live sharded-vs-serial identity + barrier-guard selftest ----
-
-/// One live execution of an oracle workload, serial or sharded.
-struct LiveRun {
-  sim::Time finalTime = 0;
-  net::MachineStats stats;
-  std::uint64_t scheduleDigest = 0;  ///< Simulator::scheduleDigest()
-  std::uint64_t events = 0;
-  std::uint64_t windows = 0;         ///< sharded windows (0 when serial)
-
-  bool matches(const LiveRun& o) const {
-    return finalTime == o.finalTime && stats == o.stats &&
-           scheduleDigest == o.scheduleDigest;
-  }
-};
-
-struct OracleWorkload {
-  std::string name;
-  anton::util::TorusShape shape;
-};
-
-void finishRun(LiveRun& r, sim::Simulator& simulator, net::Machine& machine) {
-  r.windows = simulator.shardedStats().windows;
-  if (simulator.shardedEnabled()) simulator.disableSharded();
-  r.finalTime = simulator.now();
-  r.stats = machine.stats();
-  r.scheduleDigest = simulator.scheduleDigest();
-  r.events = simulator.eventsProcessed();
-}
-
-/// The quickstart MD configuration, run live for two supersteps — the same
-/// extraction the "quickstart-md" golden plan audits statically. When a
-/// layout is given the run uses the sharded kernel (2 worker threads).
-/// Recovery is disarmed on both sides: the drop registry is the one
-/// cross-shard mutable fault-model object, so sharded MD runs without it,
-/// and the serial run must match it event for event — an armed watchdog's
-/// retracted deadlines never execute, but they do consume sequence numbers.
-LiveRun runMdWorkload(const anton::util::TorusShape& shape,
-                      const sim::ShardLayout* layout) {
-  LiveRun r;
-  anton::sim::Simulator simulator;
-  net::Machine machine(simulator, shape);
-  anton::md::SyntheticSystemParams sp;
-  sp.targetAtoms = 1536;
-  sp.seed = 2010;
-  anton::md::AntonMdConfig cfg = tools::quickstartMdConfig();
-  cfg.recoveryTimeoutUs = 0;
-  anton::md::AntonMdApp app(machine, anton::md::buildSyntheticSystem(sp),
-                            cfg);
-  if (layout != nullptr) simulator.enableSharded(*layout, /*workers=*/2);
-  app.runSteps(2);
-  finishRun(r, simulator, machine);
-  return r;
-}
-
-/// Fig. 5-style counted-write pings on the paper's 8x8x8 torus at 1, 4 and
-/// 12 hops (the probe helpers are the same ones behind the Fig. 5 bench).
-LiveRun runPingWorkload(const anton::util::TorusShape& shape,
-                        const sim::ShardLayout* layout) {
-  LiveRun r;
-  anton::sim::Simulator simulator;
-  net::Machine machine(simulator, shape);
-  if (layout != nullptr) simulator.enableSharded(*layout, /*workers=*/2);
-  for (anton::util::TorusCoord dst :
-       {anton::util::TorusCoord{1, 0, 0}, anton::util::TorusCoord{2, 2, 0},
-        anton::util::TorusCoord{4, 4, 4}})
-    net::oneWayLatencyNs(machine, {0, net::kSlice0},
-                         {anton::util::torusIndex(dst, shape), net::kSlice0},
-                         64);
-  finishRun(r, simulator, machine);
-  return r;
-}
-
-LiveRun runWorkload(const OracleWorkload& w,
-                    const sim::ShardLayout* layout = nullptr) {
-  return w.name == "quickstart-md" ? runMdWorkload(w.shape, layout)
-                                   : runPingWorkload(w.shape, layout);
-}
-
-std::string serialOracleLine(const OracleWorkload& w, const LiveRun& r) {
-  std::ostringstream os;
-  os << "{\"kind\":\"oracle-serial\",\"workload\":"
-     << JsonReporter::quoted(w.name) << ",\"events\":" << r.events
-     << ",\"finalNs\":" << JsonReporter::number(sim::toNs(r.finalTime))
-     << ",\"scheduleDigest\":"
-     << JsonReporter::quoted(anton::util::hex64(r.scheduleDigest)) << "}";
-  return os.str();
-}
-
-std::string shardedOracleLine(const OracleWorkload& w,
-                              const std::string& sharding,
-                              const LiveRun& serial, const LiveRun& r) {
-  std::ostringstream os;
-  os << "{\"kind\":\"oracle-sharded\",\"workload\":"
-     << JsonReporter::quoted(w.name)
-     << ",\"sharding\":" << JsonReporter::quoted(sharding)
-     << ",\"workers\":2,\"windows\":" << r.windows
-     << ",\"statsMatch\":" << (r.stats == serial.stats ? "true" : "false")
-     << ",\"clockMatch\":"
-     << (r.finalTime == serial.finalTime ? "true" : "false")
-     << ",\"scheduleMatch\":"
-     << (r.scheduleDigest == serial.scheduleDigest ? "true" : "false")
-     << ",\"ok\":" << (r.matches(serial) ? "true" : "false") << "}";
-  return os.str();
-}
-
-/// The barrier guard's selftest: the Fig. 5 pings on a per-node layout
-/// whose every pair bound is inflated to 1 ms, a lookahead no torus link
-/// can honour. The first cross-shard arrival must be rejected at the window
-/// barrier with a std::runtime_error naming sharded.lookahead. Returns the
-/// error text: "" when nothing was thrown, prefixed with "unexpected: "
-/// when something other than a std::runtime_error was.
-std::string inflatedBoundRejection(const anton::util::TorusShape& shape) {
-  sim::ShardLayout layout =
-      verify::shardLayout(shape, verify::ShardFamily::kPerNode);
-  for (auto& [pair, bound] : layout.pairBoundPs) bound = sim::us(1000.0);
-  anton::sim::Simulator simulator;
-  net::Machine machine(simulator, shape);
-  simulator.enableSharded(layout, /*workers=*/2);
-  std::string what;
-  try {
-    net::oneWayLatencyNs(machine, {0, net::kSlice0},
-                         {anton::util::torusIndex({4, 4, 4}, shape),
-                          net::kSlice0},
-                         64);
-  } catch (const std::runtime_error& e) {
-    what = e.what();
-  } catch (const std::exception& e) {
-    what = std::string("unexpected: ") + e.what();
-  }
-  simulator.reset();
-  return what;
-}
-
-/// Run the live quickstart MD and Fig. 5 ping shapes serially, then on the
-/// sharded kernel (per-node and slab-x, 2 workers, layout from the torus),
-/// and require each sharded run's stats, final clock and schedule digest to
-/// equal the serial run's. The kernel's window barrier checks every
-/// cross-shard message against its pair's bound while these runs execute;
-/// a selftest with an inflated bound proves that guard fires.
-int runOracle() {
-  Emitter em("VERIFY_oracle.json");
-  int mismatches = 0, selftests = 0, selftestFailures = 0;
-
-  std::vector<OracleWorkload> workloads{{"quickstart-md", {4, 4, 4}},
-                                        {"fig5-ping", {8, 8, 8}}};
-  for (const OracleWorkload& w : workloads) {
-    LiveRun serial = runWorkload(w);
-    em.line(serialOracleLine(w, serial));
-    for (verify::ShardFamily family :
-         {verify::ShardFamily::kPerNode, verify::ShardFamily::kSlabX}) {
-      sim::ShardLayout layout = verify::shardLayout(w.shape, family);
-      LiveRun sharded = runWorkload(w, &layout);
-      if (!sharded.matches(serial)) ++mismatches;
-      em.line(shardedOracleLine(w, layout.name, serial, sharded));
-    }
-  }
-
-  {
-    std::string what = inflatedBoundRejection(workloads[1].shape);
-    bool fired = what.rfind("sharded.lookahead", 0) == 0;
-    ++selftests;
-    if (!fired) ++selftestFailures;
-    std::ostringstream os;
-    os << "{\"kind\":\"selftest\",\"plan\":"
-       << JsonReporter::quoted("sharded-inflated-bound")
-       << ",\"expected\":" << JsonReporter::quoted("sharded.lookahead")
-       << ",\"error\":" << JsonReporter::quoted(what)
-       << ",\"fired\":" << (fired ? "true" : "false") << "}";
-    em.line(os.str());
-  }
-
-  bool ok = mismatches == 0 && selftestFailures == 0;
-  std::ostringstream os;
-  os << "{\"kind\":\"summary\",\"mode\":\"oracle\",\"workloads\":"
-     << workloads.size() << ",\"mismatches\":" << mismatches
-     << ",\"selftests\":" << selftests
-     << ",\"selftestFailures\":" << selftestFailures
-     << ",\"ok\":" << (ok ? "true" : "false") << "}";
-  em.line(os.str());
-  std::cerr << (ok ? "verify_plans --oracle: OK"
-                   : "verify_plans --oracle: FAILED")
-            << " (" << workloads.size() << " workloads, " << mismatches
-            << " sharded runs differing from serial, " << selftestFailures
-            << "/" << selftests << " selftest failures)\n";
-  return ok ? 0 : 1;
-}
-
-// --- --timing: static critical-path & link-occupancy audit (ISSUE 9) --------
+// --- --timing: static critical-path & link-occupancy audit -----------------
 
 std::string timingLine(const verify::TimingReport& r) {
   std::ostringstream os;
@@ -642,71 +190,11 @@ void emitTiming(Emitter& em, const verify::TimingReport& r) {
   }
 }
 
-/// Seeded over-subscribed link: three nodes of an x-line each burst eight
-/// 2 KiB packets into node 0, funneling through the shared wrap link — the
-/// offered serialization exceeds the static completion window severalfold.
-verify::CommPlan contentionFunnelPlan() {
-  verify::CommPlan p;
-  p.name = "bad-timing-contention";
-  p.shape = {4, 1, 1};
-  p.addPhaseEdge("burst", "drain");
-  verify::CounterExpectation e;
-  e.site = "drain";
-  e.phase = "drain";
-  e.client = {0, net::kSlice0};
-  e.counterId = 0;
-  e.recoveryArmed = true;
-  for (int n = 1; n < 4; ++n) {
-    verify::PlannedWrite w;
-    w.phase = "burst";
-    w.srcNode = n;
-    w.dst = {0, net::kSlice0};
-    w.counterId = 0;
-    w.packets = 8;
-    w.bytes = 2048;
-    p.writes.push_back(w);
-    e.perRound += 8;
-    e.bySource[n] = 8;
-  }
-  p.expectations.push_back(std::move(e));
-  // Credit flow control: the drain acks each sender, and the next round's
-  // burst waits for the credit. That couples consecutive rounds across
-  // nodes, so the plan claims a finite steady-state round (a nonzero
-  // per-round budget) — which is exactly what the funnel link cannot
-  // serialize.
-  for (int n = 1; n < 4; ++n) {
-    verify::PlannedWrite ack;
-    ack.phase = "drain";
-    ack.srcNode = 0;
-    ack.dst = {n, net::kSlice0};
-    ack.counterId = 1;
-    p.writes.push_back(ack);
-    verify::CounterExpectation credit;
-    credit.site = "burst.credit";
-    credit.phase = "burst";
-    credit.client = {n, net::kSlice0};
-    credit.counterId = 1;
-    credit.perRound = 1;
-    credit.bySource[0] = 1;
-    credit.recoveryArmed = true;
-    p.expectations.push_back(std::move(credit));
-  }
-  verify::BufferPlan b;
-  b.name = "drain.slots";
-  b.client = {0, net::kSlice0};
-  b.bytes = 24 * 2048;
-  b.freePhase = "drain";
-  for (int n = 1; n < 4; ++n) b.writers.push_back({n, "burst"});
-  p.buffers.push_back(std::move(b));
-  return p;
-}
-
-/// Audit every golden plan (healthy, plus a degraded Fig. 5 variant), then
-/// prove the seeded-bad plans fire their timing diagnostics. Output mirrors
-/// to VERIFY_timing.json (committed).
+/// Audit every golden plan (healthy, plus a degraded Fig. 5 variant).
+/// Output mirrors to VERIFY_timing.json (committed).
 int runTiming(const std::string& outPath = "VERIFY_timing.json") {
   Emitter em(outPath);
-  int audits = 0, violations = 0, selftests = 0, selftestFailures = 0;
+  int audits = 0, violations = 0;
   for (const std::string& name : tools::goldenPlanNames()) {
     verify::TimingReport r = verify::analyzeTiming(tools::buildNamedPlan(name));
     ++audits;
@@ -719,7 +207,7 @@ int runTiming(const std::string& outPath = "VERIFY_timing.json") {
   // remaining work: the +x link out of (6,4,4) carries only the (4,4,4)
   // pong's x-leg (y and z still pending), which reroutes cleanly and the
   // inflation stays under the blowup factor. Down links that strand a
-  // single-dimension flow are the stall selftest's territory below.
+  // single-dimension flow are TimingTest.SeededStalledRouteFires' territory.
   {
     verify::CommPlan plan = tools::buildNamedPlan("fig5-ping");
     plan.name = "fig5-ping-degraded";
@@ -732,287 +220,15 @@ int runTiming(const std::string& outPath = "VERIFY_timing.json") {
     emitTiming(em, r);
   }
 
-  struct TimingSelfTest {
-    std::string name;
-    std::string expect;
-    verify::CommPlan plan;
-    verify::TimingOptions opts;
-    net::LatencyConfig lat;
-  };
-  std::vector<TimingSelfTest> tests;
-  {
-    TimingSelfTest t;
-    t.name = "bad-timing-contention";
-    t.expect = "timing.contention";
-    t.plan = contentionFunnelPlan();
-    tests.push_back(std::move(t));
-  }
-  {
-    // Degraded route that blows up the critical path: two staggered down +x
-    // links zigzag the ping into five ring crossings where the healthy
-    // dimension-ordered route pays two (the rest rides straight-through
-    // transit), and an expensive on-chip ring turns each extra crossing
-    // into real time. The write is in-order so the turns price exactly.
-    TimingSelfTest t;
-    t.name = "bad-timing-degraded-blowup";
-    t.expect = "timing.degraded-blowup";
-    t.plan = tools::buildPingPlan({4, 2, 0}, {8, 4, 1});
-    t.plan.name = "bad-timing-degraded-blowup";
-    t.plan.writes[0].inOrder = true;
-    t.opts.downLinks = {
-        {anton::util::torusIndex({1, 0, 0}, {8, 4, 1}), 0, +1},
-        {anton::util::torusIndex({2, 1, 0}, {8, 4, 1}), 0, +1}};
-    t.lat.routerHopEachNs = 500.0;
-    tests.push_back(std::move(t));
-  }
-  {
-    // Unreachable delivery: a 1-D line cannot reroute around an on-axis
-    // outage, so the declared down link leaves the ping with no finite
-    // bound at all.
-    TimingSelfTest t;
-    t.name = "bad-timing-stalled";
-    t.expect = "timing.stalled";
-    t.plan = tools::buildPingPlan({1, 0, 0}, {4, 1, 1});
-    t.plan.name = "bad-timing-stalled";
-    t.opts.downLinks = {{0, 0, +1}};
-    tests.push_back(std::move(t));
-  }
-  for (TimingSelfTest& st : tests) {
-    verify::TimingReport r = verify::analyzeTiming(st.plan, st.opts, st.lat);
-    std::string detail;
-    bool fired = false;
-    for (const verify::Violation& v : r.violations)
-      if (v.check == st.expect) {
-        fired = true;
-        detail = v.detail;
-        break;
-      }
-    ++selftests;
-    if (!fired) ++selftestFailures;
-    std::ostringstream os;
-    os << "{\"kind\":\"selftest\",\"plan\":" << JsonReporter::quoted(st.name)
-       << ",\"expected\":" << JsonReporter::quoted(st.expect)
-       << ",\"violations\":" << r.violations.size()
-       << ",\"fired\":" << (fired ? "true" : "false")
-       << ",\"detail\":" << JsonReporter::quoted(detail) << "}";
-    em.line(os.str());
-  }
-
-  bool ok = violations == 0 && selftestFailures == 0;
+  bool ok = violations == 0;
   std::ostringstream os;
   os << "{\"kind\":\"summary\",\"mode\":\"timing\",\"audits\":" << audits
-     << ",\"violations\":" << violations << ",\"selftests\":" << selftests
-     << ",\"selftestFailures\":" << selftestFailures
+     << ",\"violations\":" << violations
      << ",\"ok\":" << (ok ? "true" : "false") << "}";
   em.line(os.str());
   std::cerr << (ok ? "verify_plans --timing: OK"
                    : "verify_plans --timing: FAILED")
-            << " (" << audits << " audits, " << violations << " violations, "
-            << selftestFailures << "/" << selftests << " selftest failures)\n";
-  return ok ? 0 : 1;
-}
-
-// --- --timing-oracle: measured-latency oracle --------------------------------
-
-struct TimingOracleCase {
-  std::string family;  ///< envelope key (tools::timingSlackEnvelope)
-  std::string name;    ///< case label, e.g. "fig5-ping-4-4-4"
-  double measuredNs = 0.0;
-  double boundNs = 0.0;
-};
-
-double pingCaseNs(anton::util::TorusCoord corner) {
-  anton::sim::Simulator simulator;
-  net::Machine machine(simulator, {8, 8, 8});
-  return net::oneWayLatencyNs(
-      machine, {0, net::kSlice0},
-      {anton::util::torusIndex(corner, {8, 8, 8}), net::kSlice0},
-      /*payloadBytes=*/0);
-}
-
-struct MdMeasure {
-  double finalNs = 0.0;
-  bool worstCaseStep = false;  ///< a step ran long-range + thermostat +
-                               ///< migration (the extracted template round)
-};
-
-MdMeasure mdCaseNs(int steps) {
-  anton::sim::Simulator simulator;
-  net::Machine machine(simulator, {4, 4, 4});
-  anton::md::SyntheticSystemParams sp;
-  sp.targetAtoms = 1536;
-  sp.seed = 2010;
-  anton::md::AntonMdApp app(machine, anton::md::buildSyntheticSystem(sp),
-                            tools::quickstartMdConfig());
-  app.runSteps(steps);
-  MdMeasure m;
-  m.finalNs = sim::toNs(simulator.now());
-  for (const anton::md::StepTiming& st : app.stepTimings())
-    if (st.longRange && st.thermostat && st.migration) m.worstCaseStep = true;
-  return m;
-}
-
-double allReduceCaseNs() {
-  anton::sim::Simulator arena;
-  net::Machine machine(arena, {2, 2, 2});
-  core::DimOrderedAllReduce reduce(machine);
-  const int n = machine.numNodes();
-  std::vector<std::vector<double>> out;
-  out.resize(std::size_t(n));
-  auto task = [&](int node) -> sim::Task {
-    std::vector<double> in(4, double(node));
-    co_await reduce.run(node, std::move(in), &out[std::size_t(node)]);
-  };
-  for (int node = 0; node < n; ++node) arena.spawn(task(node));
-  arena.run();
-  return sim::toNs(arena.now());
-}
-
-/// Run the live ping / MD / all-reduce schedules and enforce the soundness
-/// contract of the static bound: measured completion >= analyzeTiming's
-/// lower bound, with the measured/bound slack ratio inside the family's
-/// pinned envelope. A seeded inflated bound must be refuted by the live
-/// measurement.
-int runTimingOracle() {
-  Emitter em("VERIFY_timing_oracle.json");
-  int violations = 0, selftests = 0, selftestFailures = 0;
-  std::vector<TimingOracleCase> cases;
-  double measured1HopNs = 0.0;  // reused by the inflated-bound selftest
-
-  // Fig. 5 family: one-way counted-write pings at 1, 4 and 12 hops.
-  for (anton::util::TorusCoord corner :
-       {anton::util::TorusCoord{1, 0, 0}, anton::util::TorusCoord{2, 2, 0},
-        anton::util::TorusCoord{4, 4, 4}}) {
-    TimingOracleCase c;
-    c.family = "fig5-ping";
-    verify::CommPlan plan = tools::buildPingPlan(corner);
-    c.name = "fig5-" + plan.name;
-    verify::TimingOptions opts;
-    opts.rounds = 1;
-    c.boundNs = verify::analyzeTiming(plan, opts).criticalPathNs;
-    c.measuredNs = pingCaseNs(corner);
-    if (corner == anton::util::TorusCoord{1, 0, 0})
-      measured1HopNs = c.measuredNs;
-    cases.push_back(std::move(c));
-  }
-
-  // Quickstart MD family: the full run's final time against the one-round
-  // bound of the worst-case superstep template; the run must contain at
-  // least one worst-case step for the comparison to be meaningful.
-  {
-    TimingOracleCase c;
-    c.family = "quickstart-md";
-    c.name = "quickstart-md";
-    verify::TimingOptions opts;
-    opts.rounds = 1;
-    c.boundNs =
-        verify::analyzeTiming(tools::buildNamedPlan("quickstart-md"), opts)
-            .criticalPathNs;
-    MdMeasure m = mdCaseNs(2);
-    // Cadences guarantee a worst-case step within one migration interval.
-    if (!m.worstCaseStep) m = mdCaseNs(8);
-    if (!m.worstCaseStep) {
-      verify::Violation v;
-      v.check = "timing.bound";
-      v.site = c.name;
-      v.detail = "no worst-case MD step executed: the one-round bound has "
-                 "nothing to anchor against";
-      ++violations;
-      em.line(findingLine(c.name, v));
-    }
-    c.measuredNs = m.finalNs;
-    cases.push_back(std::move(c));
-  }
-
-  // Table 2 family: one live dim-ordered all-reduce call on the 2x2x2 torus.
-  {
-    TimingOracleCase c;
-    c.family = "table2-allreduce";
-    c.name = "table2-allreduce-2x2x2";
-    verify::TimingOptions opts;
-    opts.rounds = 1;
-    c.boundNs = verify::analyzeTiming(
-                    tools::buildNamedPlan("table2-allreduce-2x2x2"), opts)
-                    .criticalPathNs;
-    c.measuredNs = allReduceCaseNs();
-    cases.push_back(std::move(c));
-  }
-
-  for (const TimingOracleCase& c : cases) {
-    std::vector<verify::Violation> vs;
-    double ratio = c.boundNs > 0.0 ? c.measuredNs / c.boundNs : 0.0;
-    tools::SlackEnvelope env = tools::timingSlackEnvelope(c.family);
-    if (c.measuredNs < c.boundNs) {
-      verify::Violation v;
-      v.check = "timing.bound";
-      v.site = c.name;
-      v.detail = "static lower bound " + std::to_string(c.boundNs) +
-                 " ns exceeds the measured completion " +
-                 std::to_string(c.measuredNs) +
-                 " ns: the bound is refuted by the live schedule";
-      vs.push_back(std::move(v));
-    } else if (ratio > env.maxRatio) {
-      verify::Violation v;
-      v.check = "timing.slack-envelope";
-      v.site = c.name;
-      v.detail = "measured/bound slack " + std::to_string(ratio) +
-                 " exceeds the pinned envelope " +
-                 std::to_string(env.maxRatio) + " for family '" + c.family +
-                 "': the static pricing decoupled from the machine model";
-      vs.push_back(std::move(v));
-    }
-    violations += int(vs.size());
-    std::ostringstream os;
-    os << "{\"kind\":\"timing-oracle\",\"family\":"
-       << JsonReporter::quoted(c.family)
-       << ",\"case\":" << JsonReporter::quoted(c.name)
-       << ",\"measuredNs\":" << JsonReporter::number(c.measuredNs)
-       << ",\"boundNs\":" << JsonReporter::number(c.boundNs)
-       << ",\"ratio\":" << JsonReporter::number(ratio)
-       << ",\"maxRatio\":" << JsonReporter::number(env.maxRatio)
-       << ",\"violations\":" << vs.size()
-       << ",\"ok\":" << (vs.empty() ? "true" : "false") << "}";
-    em.line(os.str());
-    for (const verify::Violation& v : vs) em.line(findingLine(c.name, v));
-  }
-
-  // Seeded inflated bound: with assembly priced at 50 us the static "bound"
-  // for the 1-hop ping dwarfs the live 162 ns measurement — the oracle must
-  // refute it (measured < claimed bound).
-  {
-    net::LatencyConfig inflated;
-    inflated.assemblyNs = 50000.0;
-    verify::TimingOptions opts;
-    opts.rounds = 1;
-    double claimed =
-        verify::analyzeTiming(tools::buildPingPlan({1, 0, 0}), opts, inflated)
-            .criticalPathNs;
-    bool fired = measured1HopNs < claimed;
-    ++selftests;
-    if (!fired) ++selftestFailures;
-    std::ostringstream os;
-    os << "{\"kind\":\"selftest\",\"plan\":"
-       << JsonReporter::quoted("bad-timing-inflated-bound")
-       << ",\"expected\":" << JsonReporter::quoted("timing.bound")
-       << ",\"claimedNs\":" << JsonReporter::number(claimed)
-       << ",\"measuredNs\":" << JsonReporter::number(measured1HopNs)
-       << ",\"fired\":" << (fired ? "true" : "false") << "}";
-    em.line(os.str());
-  }
-
-  bool ok = violations == 0 && selftestFailures == 0;
-  std::ostringstream os;
-  os << "{\"kind\":\"summary\",\"mode\":\"timing-oracle\",\"cases\":"
-     << cases.size() << ",\"violations\":" << violations
-     << ",\"selftests\":" << selftests
-     << ",\"selftestFailures\":" << selftestFailures
-     << ",\"ok\":" << (ok ? "true" : "false") << "}";
-  em.line(os.str());
-  std::cerr << (ok ? "verify_plans --timing-oracle: OK"
-                   : "verify_plans --timing-oracle: FAILED")
-            << " (" << cases.size() << " cases, " << violations
-            << " violations, " << selftestFailures << "/" << selftests
-            << " selftest failures)\n";
+            << " (" << audits << " audits, " << violations << " violations)\n";
   return ok ? 0 : 1;
 }
 
@@ -1082,117 +298,98 @@ int runUpdateGoldens(const std::string& dir) {
   return ti;
 }
 
+/// The default mode: verify every shipped plan, healthy and degraded.
+int runAudit() {
+  Emitter em;
+  Totals t;
+  runPlan(em, t, tools::buildNamedPlan("quickstart-md"));
+  runPlan(em, t, tools::buildNamedPlan("fig5-ping"));
+  {
+    // The same topology audited in degraded mode: a down +x link out of
+    // node 0 exercises the reroute path (lints, not errors, so the shipped
+    // plan stays green while the reroutes are reported).
+    verify::CommPlan p = tools::buildNamedPlan("fig5-ping");
+    p.name = "fig5-ping-degraded";
+    verify::VerifyOptions opts;
+    opts.downLinks = {{0, 0, +1}};
+    opts.routeIssuesAreErrors = false;
+    runPlan(em, t, p, opts);
+  }
+  for (const char* shape : {"4x4x4", "8x2x8", "8x8x4", "8x8x8", "8x8x16"})
+    runPlan(em, t,
+            tools::buildNamedPlan(std::string("table2-allreduce-") + shape));
+  {
+    // Degraded audit of the line fan-outs: an on-axis outage cannot be
+    // rerouted around inside a 1-D line, so the affected trees are reported
+    // as stalls (informational here; the live machine would wait out the
+    // outage).
+    verify::CommPlan p = tools::buildNamedPlan("table2-allreduce-4x4x4");
+    p.name = "table2-allreduce-4x4x4-degraded";
+    verify::VerifyOptions opts;
+    opts.downLinks = {{0, 0, +1}};
+    opts.routeIssuesAreErrors = false;
+    runPlan(em, t, p, opts);
+  }
+  {
+    // Degraded audit of the MD step: the position-import and flush trees
+    // span all three dimensions, so the repair pass re-covers every lost
+    // destination with rerouted unicast paths.
+    verify::CommPlan p = tools::buildNamedPlan("quickstart-md");
+    p.name = "quickstart-md-degraded";
+    verify::VerifyOptions opts;
+    opts.downLinks = {{0, 0, +1}};
+    opts.routeIssuesAreErrors = false;
+    runPlan(em, t, p, opts);
+  }
+  // Degenerate torus with a traffic-carrying extent-1 dimension: pins the
+  // reduced-offset half-shell dedup.
+  runPlan(em, t, tools::buildNamedPlan("md-4x4x1"));
+  runPlan(em, t, tools::buildNamedPlan("fft-pair-2x2x2"));
+  runPlan(em, t, tools::buildNamedPlan("cluster-allreduce-512"));
+  runPlan(em, t, tools::buildNamedPlan("table3-md-8x8x8"));
+
+  bool ok = t.violations == 0 && t.recoveryLints == 0;
+  std::ostringstream os;
+  os << "{\"kind\":\"summary\",\"plans\":" << t.plans
+     << ",\"violations\":" << t.violations << ",\"lints\":" << t.lints
+     << ",\"recoveryLints\":" << t.recoveryLints
+     << ",\"ok\":" << (ok ? "true" : "false") << "}";
+  em.line(os.str());
+  std::cerr << (ok ? "verify_plans: OK" : "verify_plans: FAILED") << " ("
+            << t.plans << " plans, " << t.violations << " violations, "
+            << t.lints << " lints of which " << t.recoveryLints
+            << " recovery-coverage (gating))\n";
+  return ok ? 0 : 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool fast = false, selftestOnly = false;
   try {
-    for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--diff") == 0) {
-        if (i + 2 >= argc) {
-          std::cerr << "usage: verify_plans --diff <plan-or-file> "
-                       "<plan-or-file>\n";
-          return 2;
-        }
-        return runDiff(argv[i + 1], argv[i + 2]);
-      }
-      if (std::strcmp(argv[i], "--dump-plans") == 0) {
-        if (i + 1 >= argc) {
-          std::cerr << "usage: verify_plans --dump-plans <dir>\n";
-          return 2;
-        }
-        return runDump(argv[i + 1]);
-      }
-      if (std::strcmp(argv[i], "--plan-keys") == 0) return runPlanKeys();
-      if (std::strcmp(argv[i], "--oracle") == 0) return runOracle();
-      if (std::strcmp(argv[i], "--timing") == 0) return runTiming();
-      if (std::strcmp(argv[i], "--timing-oracle") == 0)
-        return runTimingOracle();
-      if (std::strcmp(argv[i], "--update-goldens") == 0) {
-        std::string dir = "tests/golden_plans";
-        if (i + 1 < argc && argv[i + 1][0] != '-') dir = argv[i + 1];
-        return runUpdateGoldens(dir);
-      }
-      if (std::strcmp(argv[i], "--fast") == 0) {
-        fast = true;
-      } else if (std::strcmp(argv[i], "--selftest-only") == 0) {
-        selftestOnly = true;
-      } else {
-        std::cerr << "usage: verify_plans [--fast] [--selftest-only] "
-                     "[--dump-plans DIR] [--diff A B] [--plan-keys] "
-                     "[--oracle] [--timing] [--timing-oracle] "
-                     "[--update-goldens [DIR]]\n";
+    if (argc == 1) return runAudit();
+    if (std::strcmp(argv[1], "--diff") == 0) {
+      if (argc != 4) {
+        std::cerr << "usage: verify_plans --diff <plan-or-file> "
+                     "<plan-or-file>\n";
         return 2;
       }
+      return runDiff(argv[2], argv[3]);
     }
-    Emitter em;
-    Totals t;
-    if (!selftestOnly) {
-      runPlan(em, t, tools::buildNamedPlan("quickstart-md"));
-      runPlan(em, t, tools::buildNamedPlan("fig5-ping"));
-      {
-        // The same topology audited in degraded mode: a down +x link out of
-        // node 0 exercises the reroute path (lints, not errors, so the
-        // shipped plan stays green while the reroutes are reported).
-        verify::CommPlan p = tools::buildNamedPlan("fig5-ping");
-        p.name = "fig5-ping-degraded";
-        verify::VerifyOptions opts;
-        opts.downLinks = {{0, 0, +1}};
-        opts.routeIssuesAreErrors = false;
-        runPlan(em, t, p, opts);
+    if (std::strcmp(argv[1], "--dump-plans") == 0) {
+      if (argc != 3) {
+        std::cerr << "usage: verify_plans --dump-plans <dir>\n";
+        return 2;
       }
-      for (const char* shape :
-           {"4x4x4", "8x2x8", "8x8x4", "8x8x8", "8x8x16"})
-        runPlan(em, t, tools::buildNamedPlan(std::string("table2-allreduce-") +
-                                             shape));
-      {
-        // Degraded audit of the line fan-outs: an on-axis outage cannot be
-        // rerouted around inside a 1-D line, so the affected trees are
-        // reported as stalls (informational here; the live machine would
-        // wait out the outage).
-        verify::CommPlan p = tools::buildNamedPlan("table2-allreduce-4x4x4");
-        p.name = "table2-allreduce-4x4x4-degraded";
-        verify::VerifyOptions opts;
-        opts.downLinks = {{0, 0, +1}};
-        opts.routeIssuesAreErrors = false;
-        runPlan(em, t, p, opts);
-      }
-      {
-        // Degraded audit of the MD step: the position-import and flush
-        // trees span all three dimensions, so the repair pass re-covers
-        // every lost destination with rerouted unicast paths.
-        verify::CommPlan p = tools::buildNamedPlan("quickstart-md");
-        p.name = "quickstart-md-degraded";
-        verify::VerifyOptions opts;
-        opts.downLinks = {{0, 0, +1}};
-        opts.routeIssuesAreErrors = false;
-        runPlan(em, t, p, opts);
-      }
-      // Degenerate torus with a traffic-carrying extent-1 dimension: pins
-      // the reduced-offset half-shell dedup (ISSUE 5 satellite).
-      runPlan(em, t, tools::buildNamedPlan("md-4x4x1"));
-      runPlan(em, t, tools::buildNamedPlan("fft-pair-2x2x2"));
-      runPlan(em, t, tools::buildNamedPlan("cluster-allreduce-512"));
-      if (!fast) runPlan(em, t, tools::buildNamedPlan("table3-md-8x8x8"));
+      return runDump(argv[2]);
     }
-    runSelfTests(em, t);
-
-    bool ok = t.violations == 0 && t.recoveryLints == 0 &&
-              t.selftestFailures == 0;
-    std::ostringstream os;
-    os << "{\"kind\":\"summary\",\"plans\":" << t.plans
-       << ",\"violations\":" << t.violations << ",\"lints\":" << t.lints
-       << ",\"recoveryLints\":" << t.recoveryLints
-       << ",\"selftests\":" << t.selftests
-       << ",\"selftestFailures\":" << t.selftestFailures
-       << ",\"ok\":" << (ok ? "true" : "false") << "}";
-    em.line(os.str());
-    std::cerr << (ok ? "verify_plans: OK" : "verify_plans: FAILED") << " ("
-              << t.plans << " plans, " << t.violations << " violations, "
-              << t.lints << " lints of which " << t.recoveryLints
-              << " recovery-coverage (gating), " << t.selftestFailures << "/"
-              << t.selftests << " selftest failures)\n";
-    return ok ? 0 : 1;
+    if (argc == 2 && std::strcmp(argv[1], "--plan-keys") == 0)
+      return runPlanKeys();
+    if (argc == 2 && std::strcmp(argv[1], "--timing") == 0) return runTiming();
+    if (std::strcmp(argv[1], "--update-goldens") == 0 && argc <= 3)
+      return runUpdateGoldens(argc == 3 ? argv[2] : "tests/golden_plans");
+    std::cerr << "usage: verify_plans [--dump-plans DIR] [--diff A B] "
+                 "[--plan-keys] [--timing] [--update-goldens [DIR]]\n";
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "verify_plans: " << e.what() << "\n";
     return 2;
