@@ -31,12 +31,20 @@
 //                              their committed constants
 //   sharded_schedule_match     1.0 = sharded == serial schedule digests
 //                              (ping, quickstart-MD and Table-3 MD)
+//   machine_build_alloc_bounded
+//                              1.0 = Machine build+free allocations are
+//                              node-count independent and bounded
 // A third axis prices erasure recovery on the happy path: the quickstart-MD
 // step runs with recovery armed at the serve defaults and no faults, and
 // its heap allocations per step must stay within 1.1x of the disarmed
 // step's (exit 1 otherwise). An armed wait the counter beats should cost a
 // parked deadline, not a diagnosis. The ratio is recorded informationally
 // (md_armed_alloc_ratio); the allocation counts are deterministic.
+// A fourth axis bounds Machine construction: building and freeing a 4x4x4
+// and an 8x8x8 Machine must make the same number of heap allocations, at
+// most kMachineBuildAllocBound (exit 1 otherwise), because nodes and their
+// clients live in flat storage built on first touch
+// (machine_build_alloc_bounded).
 // Raw events/sec, packets/sec, allocs/event and the sharded speedups are
 // host-dependent and recorded informationally (measured against
 // themselves).
@@ -297,6 +305,19 @@ RunStats runAllReduce(int warmupRounds, int rounds) {
   return out;
 }
 
+/// Most heap allocations building and freeing one Machine may make, whatever
+/// its node count: a handful of flat per-machine arrays.
+constexpr std::uint64_t kMachineBuildAllocBound = 8;
+
+/// Heap allocations across building and freeing one Machine of `shape` on a
+/// fresh simulator, with no traffic (so no node is ever touched).
+std::uint64_t machineBuildAllocs(util::TorusShape shape) {
+  sim::Simulator sim;
+  std::uint64_t al0 = g_allocs.load(std::memory_order_relaxed);
+  { net::Machine m(sim, shape); }
+  return g_allocs.load(std::memory_order_relaxed) - al0;
+}
+
 /// Best-of-N wall clock for two modes, interleaved: each repetition runs
 /// mode false then mode true back to back. The simulated work is
 /// deterministic, so the minimum is the repeat least disturbed by host
@@ -361,6 +382,12 @@ int main() {
   bool armedAllocsBounded =
       armedAllocsPerStep <= kArmedAllocSlack * disarmedAllocsPerStep;
 
+  // Machine build+free allocations must not depend on the node count.
+  std::uint64_t buildAllocsSmall = machineBuildAllocs({4, 4, 4});
+  std::uint64_t buildAllocsLarge = machineBuildAllocs({8, 8, 8});
+  bool buildAllocsBounded = buildAllocsSmall == buildAllocsLarge &&
+                            buildAllocsLarge <= kMachineBuildAllocBound;
+
   double pingShardedSpeedup =
       pingSharded.eventsPerSec() / pingSerial.eventsPerSec();
   double mdShardedSpeedup = mdSharded.eventsPerSec() / mdSerial.eventsPerSec();
@@ -400,7 +427,10 @@ int main() {
             << "quickstart-md heap allocations per step: disarmed "
             << util::TablePrinter::num(disarmedAllocsPerStep, 0) << ", armed "
             << util::TablePrinter::num(armedAllocsPerStep, 0) << " ("
-            << util::TablePrinter::num(armedAllocRatio, 3) << "x)\n";
+            << util::TablePrinter::num(armedAllocRatio, 3) << "x)\n"
+            << "heap allocations per Machine build+free: 4x4x4 "
+            << buildAllocsSmall << ", 8x8x8 " << buildAllocsLarge
+            << " (bound " << kMachineBuildAllocBound << ")\n";
 
   bench::JsonReporter json("kernel");
   // Gates: the boolean invariants gate on exact 1.0.
@@ -409,6 +439,8 @@ int main() {
   json.record("schedule_match", 1.0, schedulesMatch ? 1.0 : 0.0, "bool");
   json.record("sharded_schedule_match", 1.0, shardedMatch ? 1.0 : 0.0,
               "bool");
+  json.record("machine_build_alloc_bounded", 1.0,
+              buildAllocsBounded ? 1.0 : 0.0, "bool");
   // Host-dependent raw numbers: informational (deviation pinned 0).
   json.record("ping_events_per_sec", ping.eventsPerSec(),
               ping.eventsPerSec(), "events/s");
@@ -430,8 +462,8 @@ int main() {
   // trajectory: informational like the host-dependent records.
   json.record("md_armed_alloc_ratio", armedAllocRatio, armedAllocRatio, "x");
 
-  bool ok =
-      schedulesMatch && pingZeroAlloc && shardedMatch && armedAllocsBounded;
+  bool ok = schedulesMatch && pingZeroAlloc && shardedMatch &&
+            armedAllocsBounded && buildAllocsBounded;
   if (!schedulesMatch)
     std::cout << "\nSCHEDULE MISMATCH: ping digest " << util::hex64(ping.digest)
               << " (pinned " << util::hex64(kPingScheduleDigest)
@@ -447,6 +479,10 @@ int main() {
               << " heap allocations per armed quickstart-md step, over "
               << kArmedAllocSlack << "x the disarmed " << disarmedAllocsPerStep
               << "\n";
+  if (!buildAllocsBounded)
+    std::cout << "\nMACHINE BUILD ALLOCATES PER NODE: " << buildAllocsSmall
+              << " heap allocations for a 4x4x4 Machine, " << buildAllocsLarge
+              << " for an 8x8x8 (bound " << kMachineBuildAllocBound << ")\n";
   if (ok) std::cout << "\nkernel invariants hold\n";
   return ok ? 0 : 1;
 }

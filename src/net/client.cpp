@@ -12,7 +12,8 @@ NetworkClient::NetworkClient(Machine& machine, ClientAddr addr,
 
 void NetworkClient::hostWrite(std::uint32_t address, const void* data,
                               std::size_t n) {
-  if (address + n > mem_.size())
+  // Compared without forming address + n, which wraps for a huge n.
+  if (n > mem_.size() || address > mem_.size() - n)
     throw std::out_of_range("NetworkClient::hostWrite out of range");
   std::memcpy(mem_.data() + address, data, n);
 }
@@ -132,7 +133,7 @@ sim::Task NetworkClient::send(SendArgs args) {
 
 void ProcessingSlice::deliver(const PacketPtr& p) {
   if (p->type == PacketType::kFifo) {
-    fifo_.push_back(p);
+    fifo_.push(p);
     fifoHighWater_ = std::max(fifoHighWater_, fifo_.size());
     if (p->counterId != kNoCounter) {
       checkCounter(p->counterId);
@@ -145,16 +146,14 @@ void ProcessingSlice::deliver(const PacketPtr& p) {
 }
 
 void ProcessingSlice::FifoWait::await_suspend(std::coroutine_handle<> h) {
-  slice.fifoWaiters_.push_back({this, h});
+  slice.fifoWaiters_.push({this, h});
   slice.tryWakeFifoWaiter(slice.machine().sim().now());
 }
 
 void ProcessingSlice::tryWakeFifoWaiter(sim::Time /*now*/) {
   while (!fifoWaiters_.empty() && !fifo_.empty()) {
-    FifoWaiterRef w = fifoWaiters_.front();
-    fifoWaiters_.pop_front();
-    w.wait->result = std::move(fifo_.front());
-    fifo_.pop_front();
+    FifoWaiterRef w = fifoWaiters_.pop();
+    w.wait->result = fifo_.pop();
     machine_.sim().resumeAfter(pollLatency(), w.handle);
   }
 }

@@ -11,7 +11,6 @@
 #include <coroutine>
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <functional>
 #include <span>
 #include <stdexcept>
@@ -21,6 +20,7 @@
 #include "net/packet.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
+#include "util/head_queue.hpp"
 
 namespace anton::net {
 
@@ -219,12 +219,7 @@ class ProcessingSlice final : public NetworkClient {
 
   /// Non-blocking pop: the next queued FIFO message, or null when empty.
   /// Used after a flush counter guarantees all messages have arrived.
-  PacketPtr pollFifo() {
-    if (fifo_.empty()) return nullptr;
-    PacketPtr p = std::move(fifo_.front());
-    fifo_.pop_front();
-    return p;
-  }
+  PacketPtr pollFifo() { return fifo_.empty() ? nullptr : fifo_.pop(); }
 
   std::size_t fifoDepth() const { return fifo_.size(); }
   std::size_t fifoHighWater() const { return fifoHighWater_; }
@@ -233,13 +228,13 @@ class ProcessingSlice final : public NetworkClient {
   friend struct FifoWait;
   void tryWakeFifoWaiter(sim::Time now);
 
-  std::deque<PacketPtr> fifo_;
+  util::HeadQueue<PacketPtr> fifo_;
   std::size_t fifoHighWater_ = 0;
   struct FifoWaiterRef {
     FifoWait* wait;
     std::coroutine_handle<> handle;
   };
-  std::deque<FifoWaiterRef> fifoWaiters_;
+  util::HeadQueue<FifoWaiterRef> fifoWaiters_;
 };
 
 /// The high-throughput interaction subsystem endpoint. Behaviorally a client

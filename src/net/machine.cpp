@@ -51,22 +51,32 @@ Machine::Machine(sim::Simulator& sim, util::TorusShape shape, MachineConfig cfg)
       shape_(shape),
       cfg_(cfg),
       clientMem_(clientMemTotal(shape, cfg.clientMemBytes)),
+      nodes_(std::make_unique_for_overwrite<NodeSlot[]>(
+          std::size_t(shape.size()))),
+      nodeBuilt_(std::size_t(shape.size()), 0),
       faultReroute_(cfg.faultReroute) {
-  const std::size_t nodeMemBytes = kClientsPerNode * cfg.clientMemBytes;
-  nodes_.reserve(std::size_t(shape.size()));
-  for (int i = 0; i < shape.size(); ++i) {
-    std::span<std::byte> nodeMem{clientMem_.data() + std::size_t(i) * nodeMemBytes,
-                                 nodeMemBytes};
-    nodes_.push_back(std::make_unique<Node>(*this, i, util::torusCoordOf(i, shape),
-                                            nodeMem, cfg.countersPerClient));
-  }
   links_.resize(std::size_t(shape.size()) * 6);
-  failedLinks_.assign(std::size_t(shape.size()) * 6, 0);
   saltByNode_.assign(std::size_t(shape.size()), 0);
   sim_.addShardParticipant(this);
 }
 
-Machine::~Machine() { sim_.removeShardParticipant(this); }
+Machine::~Machine() {
+  sim_.removeShardParticipant(this);
+  for (int i = 0; i < numNodes(); ++i)
+    if (nodeBuilt_[std::size_t(i)]) nodes_[std::size_t(i)].get()->~Node();
+}
+
+Node& Machine::buildNode(int idx) {
+  const std::size_t nodeMemBytes = kClientsPerNode * cfg_.clientMemBytes;
+  std::span<std::byte> mem{clientMem_.data() + std::size_t(idx) * nodeMemBytes,
+                           nodeMemBytes};
+  Node* n = ::new (nodes_[std::size_t(idx)].bytes)
+      Node(*this, idx, util::torusCoordOf(idx, shape_), mem,
+           cfg_.countersPerClient);
+  nodeBuilt_[std::size_t(idx)] = 1;
+  ++nodesBuilt_;
+  return *n;
+}
 
 void Machine::setTrace(trace::ActivityTrace* t) {
   if (!shardStats_.empty())
@@ -111,6 +121,9 @@ void Machine::onShardedEnable(const sim::ShardLayout& layout) {
         "Machine: sharding '" + layout.name + "' maps " +
         std::to_string(layout.shardOfNode.size()) + " nodes but the machine has " +
         std::to_string(numNodes()));
+  // Build every node now, on the enabling thread: node() constructs on
+  // first touch, which must never race between shard workers.
+  for (int i = 0; i < numNodes(); ++i) node(i);
   shardStats_.assign(std::size_t(layout.numShards), MachineStats{});
   stageTraces_.clear();
   if (trace_ != nullptr) {
@@ -126,9 +139,8 @@ void Machine::onShardedBarrier(
   // seqs from the window that just closed; exchange them for their canonical
   // values so a later window's re-arm replays the serial (time, seq) slot.
   for (Link& l : links_) {
-    for (std::size_t i = l.pendingHead; i < l.pending.size(); ++i)
-      if (l.pending[i].seq & sim::Simulator::kProvBit)
-        l.pending[i].seq = canon(l.pending[i].seq);
+    for (Arrival& a : l.pending.items())
+      if (a.seq & sim::Simulator::kProvBit) a.seq = canon(a.seq);
   }
 
   // Every MachineStats field is an additive tally, so a fieldwise fold of
@@ -368,7 +380,7 @@ void Machine::forwardOnLink(const PacketPtr& p, int nodeIdx, int entryRouter,
     // scheduled beyond the link — loss is now a software-visible condition.
     // The link keeps a sticky failed mark so recovery replays route around it.
     ++st().linkFailures;
-    failedLinks_[std::size_t(nodeIdx) * 6 + std::size_t(adapterIdx)] = 1;
+    l.markedFailed = true;
     if (dropHandler_) {
       util::TorusCoord nc =
           torusNeighbor(util::torusCoordOf(nodeIdx, shape_), dim, sign, shape_);
@@ -403,7 +415,7 @@ void Machine::forwardOnLink(const PacketPtr& p, int nodeIdx, int entryRouter,
       lay != nullptr && lay->shardOf(nodeIdx) != lay->shardOf(nextIdx);
   if (!cross) {
     // Reserve the arrival's sequence number now and park it.
-    l.pending.push_back({p, atRing, sim_.reserveSeq()});
+    l.pending.push({p, atRing, sim_.reserveSeq()});
     if (!l.drainScheduled)
       scheduleDrain(std::size_t(nodeIdx) * 6 + std::size_t(adapterIdx));
   } else {
@@ -424,7 +436,7 @@ void Machine::forwardOnLink(const PacketPtr& p, int nodeIdx, int entryRouter,
 
 void Machine::scheduleDrain(std::size_t li) {
   Link& l = links_[li];
-  const Arrival& head = l.pending[l.pendingHead];
+  const Arrival& head = l.pending.front();
   l.drainScheduled = true;
   sim_.atReserved(head.atRing, head.seq, [this, li] { drainLink(li); });
 }
@@ -451,13 +463,10 @@ void Machine::drainLink(std::size_t li) {
   // drainScheduled stays true across routeFrom so a multicast loop that
   // lands back on this link cannot double-schedule; the tail re-arm below
   // picks any such appendee up.
-  Arrival head = std::move(l.pending[l.pendingHead]);
-  ++l.pendingHead;
+  Arrival head = l.pending.pop();
   routeFrom(head.p, nextIdx, entryAdapterRouter, dim, sign, head.atRing);
 
-  if (l.pendingHead == l.pending.size()) {
-    l.pending.clear();  // capacity retained: the queue recycles, never churns
-    l.pendingHead = 0;
+  if (l.pending.empty()) {
     l.drainScheduled = false;
   } else {
     scheduleDrain(li);

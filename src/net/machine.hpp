@@ -8,6 +8,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <new>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "net/node.hpp"
 #include "net/packet.hpp"
 #include "sim/simulator.hpp"
+#include "util/head_queue.hpp"
 #include "util/torus_coord.hpp"
 
 #include "trace/activity.hpp"
@@ -91,7 +94,18 @@ class Machine : public sim::ShardParticipant {
   const MachineConfig& config() const { return cfg_; }
   int numNodes() const { return shape_.size(); }
 
-  Node& node(int idx) { return *nodes_.at(std::size_t(idx)); }
+  /// Node `idx`, constructed in its slot on the first call (a node the
+  /// traffic never touches is never built); std::out_of_range for an index
+  /// outside [0, numNodes()). Sharded mode builds every node before any
+  /// worker runs (onShardedEnable), so no shard thread ever constructs one.
+  Node& node(int idx) {
+    if (idx < 0 || idx >= numNodes())
+      throw std::out_of_range("Machine::node: bad node index");
+    return nodeBuilt_[std::size_t(idx)] ? *nodes_[std::size_t(idx)].get()
+                                        : buildNode(idx);
+  }
+  /// Nodes constructed so far (observability for first-touch tests).
+  int nodesBuilt() const { return nodesBuilt_; }
   Node& node(const util::TorusCoord& c) { return node(util::torusIndex(c, shape_)); }
   NetworkClient& client(ClientAddr a) { return node(a.node).client(a.client); }
   ProcessingSlice& slice(int nodeIdx, int s) { return node(nodeIdx).slice(s); }
@@ -162,13 +176,14 @@ class Machine : public sim::ShardParticipant {
   /// re-entering the one that ate the original copy. Stays all-false on a
   /// fault-free run.
   bool linkMarkedFailed(int nodeIdx, int dim, int sign) const {
-    return failedLinks_[std::size_t(nodeIdx) * 6 +
-                        std::size_t(RingLayout::adapterIndex(dim, sign))] != 0;
+    return links_[std::size_t(nodeIdx) * 6 +
+                  std::size_t(RingLayout::adapterIndex(dim, sign))]
+        .markedFailed;
   }
 
   /// Clear every sticky failed-link mark (e.g. after a repaired outage).
   void clearFailedLinkMarks() {
-    failedLinks_.assign(failedLinks_.size(), 0);
+    for (Link& l : links_) l.markedFailed = false;
   }
 
   /// Observer of link-failed packet drops: called once per dropped replica
@@ -201,17 +216,20 @@ class Machine : public sim::ShardParticipant {
     std::uint64_t traversals = 0;
     // Batched drain state: arrivals are appended in (monotonic) time order
     // and consumed front-to-back; at most one drain event is in the kernel
-    // per link, however many packets are in flight on it. The vector acts
-    // as a grow-only ring (head index + clear-on-empty), so steady-state
-    // traffic never reallocates it.
-    std::vector<Arrival> pending;
-    std::size_t pendingHead = 0;
+    // per link, however many packets are in flight on it.
+    util::HeadQueue<Arrival> pending;
     bool drainScheduled = false;
+    /// Sticky failed mark, set when a traversal exhausts the retransmit cap
+    /// and drops its packet.
+    bool markedFailed = false;
   };
   Link& link(int nodeIdx, int dim, int sign) {
     return links_[std::size_t(nodeIdx) * 6 +
                   std::size_t(RingLayout::adapterIndex(dim, sign))];
   }
+
+  /// Construct node `idx` in its slot (the cold half of node()).
+  Node& buildNode(int idx);
 
   /// Schedule (or re-arm) the single drain event of link `li` for the
   /// front of its pending queue.
@@ -251,13 +269,20 @@ class Machine : public sim::ShardParticipant {
   sim::Simulator& sim_;
   util::TorusShape shape_;
   MachineConfig cfg_;
-  /// Backs every client's memory; declared before nodes_ so it outlives them.
+  /// Uninitialized storage for one Node, constructed in place on first touch.
+  struct NodeSlot {
+    alignas(Node) std::byte bytes[sizeof(Node)];
+    Node* get() { return std::launder(reinterpret_cast<Node*>(bytes)); }
+  };
+
+  /// Backs every client's memory; ~Machine destroys the nodes before it.
   ZeroPageMapping clientMem_;
-  std::vector<std::unique_ptr<Node>> nodes_;
+  /// One slot per node, allocated uninitialized: a slot's pages are written
+  /// only when its node is built, and ~Machine destroys only built nodes.
+  std::unique_ptr<NodeSlot[]> nodes_;
+  std::vector<char> nodeBuilt_;  ///< per-node "slot holds a live Node"
+  int nodesBuilt_ = 0;
   std::vector<Link> links_;
-  /// Sticky per-link failed marks (node * 6 + adapter), set when a traversal
-  /// exhausts the retransmit cap and drops its packet.
-  std::vector<char> failedLinks_;
   MachineStats stats_;
   /// Per-source-node route-salt counters. Injections from one source node
   /// always execute on that node's shard, so a per-node counter is both

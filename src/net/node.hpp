@@ -1,12 +1,17 @@
 // One Anton node: seven network clients on a six-router on-chip ring, six
 // link adapters to torus neighbors, and a 256-entry multicast lookup table
 // (SC10 §III-A, Fig. 1).
+//
+// Like the hardware's, the node's state is fixed storage: its four slices,
+// its HTIS and its two accumulation memories are members held by value, so
+// building a node allocates nothing (client FIFOs and counter banks grow on
+// first use). The Machine constructs a node in place on its first touch.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <span>
+#include <stdexcept>
 
 #include "net/client.hpp"
 #include "net/packet.hpp"
@@ -37,11 +42,21 @@ class Node {
   int index() const { return index_; }
   util::TorusCoord coord() const { return coord_; }
 
-  NetworkClient& client(int id) { return *clients_.at(std::size_t(id)); }
-  const NetworkClient& client(int id) const { return *clients_.at(std::size_t(id)); }
-  ProcessingSlice& slice(int s);
-  Htis& htis();
-  AccumulationMemory& accum(int which);
+  /// Client `id` (kSlice0.., kHtis, kAccum0..); std::out_of_range otherwise.
+  NetworkClient& client(int id) {
+    if (id >= kSlice0 && id < kSlice0 + kNumSlices)
+      return slices_[std::size_t(id - kSlice0)];
+    if (id == kHtis) return htis_;
+    if (id >= kAccum0 && id <= kAccum1)
+      return accums_[std::size_t(id - kAccum0)];
+    throw std::out_of_range("bad client id");
+  }
+  const NetworkClient& client(int id) const {
+    return const_cast<Node*>(this)->client(id);
+  }
+  ProcessingSlice& slice(int s) { return slices_.at(std::size_t(s)); }
+  Htis& htis() { return htis_; }
+  AccumulationMemory& accum(int which) { return accums_.at(std::size_t(which)); }
 
   const MulticastEntry& multicast(int pattern) const {
     return multicast_.at(std::size_t(pattern));
@@ -60,7 +75,9 @@ class Node {
   Machine& machine_;
   int index_;
   util::TorusCoord coord_;
-  std::array<std::unique_ptr<NetworkClient>, kClientsPerNode> clients_;
+  std::array<ProcessingSlice, kNumSlices> slices_;
+  Htis htis_;
+  std::array<AccumulationMemory, kAccum1 - kAccum0 + 1> accums_;
   std::array<MulticastEntry, kMulticastPatterns> multicast_{};
   sim::Time ringBusyUntil_ = 0;
 };

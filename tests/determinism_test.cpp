@@ -11,6 +11,7 @@
 #include <cstdint>
 
 #include "fault/plan.hpp"
+#include "machine_digest.hpp"
 #include "md/anton_app.hpp"
 #include "net/machine.hpp"
 #include "plan_registry.hpp"
@@ -23,30 +24,8 @@
 namespace anton {
 namespace {
 
-// One FNV-1a step over the eight little-endian bytes of `v`.
-std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= util::kFnvPrime;
-  }
-  return h;
-}
-
-// FNV-1a over every client memory and counter bank of the machine.
-std::uint64_t machineDigest(net::Machine& m) {
-  std::uint64_t h = util::kFnvOffsetBasis;
-  for (int n = 0; n < m.numNodes(); ++n) {
-    for (int c = 0; c < net::kClientsPerNode; ++c) {
-      net::NetworkClient& cl = m.client({n, c});
-      for (std::byte b : cl.memory()) {
-        h ^= std::uint64_t(b);
-        h *= util::kFnvPrime;
-      }
-      for (int k = 0; k < cl.numCounters(); ++k) h = mix(h, cl.counterValue(k));
-    }
-  }
-  return h;
-}
+using test::fnvMix;
+using test::machineDigest;
 
 // FNV-1a over every MachineStats field, in declaration order.
 std::uint64_t statsDigest(const net::MachineStats& s) {
@@ -56,7 +35,7 @@ std::uint64_t statsDigest(const net::MachineStats& s) {
         s.multicastForks, s.crcRetransmits, s.linkFailures, s.outageStalls,
         s.routerStalls, s.faultReroutes, std::uint64_t(s.retransmitDelay),
         std::uint64_t(s.stallDelay)})
-    h = mix(h, v);
+    h = fnvMix(h, v);
   return h;
 }
 
@@ -195,7 +174,7 @@ TEST(Determinism, MdTrajectoryMatchesThePinnedDigest) {
   for (const std::vector<util::Vec3>* vs : {&out.positions, &out.velocities})
     for (const util::Vec3& v : *vs)
       for (double c : {v.x, v.y, v.z})
-        h = mix(h, std::bit_cast<std::uint64_t>(c));
+        h = fnvMix(h, std::bit_cast<std::uint64_t>(c));
   EXPECT_EQ(out.numAtoms(), sys.numAtoms());
   EXPECT_EQ(h, kMdStateDigest);
   EXPECT_EQ(sim.now(), kMdFinalTime);
@@ -318,7 +297,7 @@ TEST(Determinism, LossyArmedMdMatchesThePinnedSchedule) {
   for (const std::vector<util::Vec3>* vs : {&out.positions, &out.velocities})
     for (const util::Vec3& v : *vs)
       for (double c : {v.x, v.y, v.z})
-        h = mix(h, std::bit_cast<std::uint64_t>(c));
+        h = fnvMix(h, std::bit_cast<std::uint64_t>(c));
   const core::RecoveryStats& rs = app.recoveryStats();
   EXPECT_EQ(app.stepsDone(), 3);
   EXPECT_EQ(sim.scheduleDigest(), kLossyMdScheduleDigest);

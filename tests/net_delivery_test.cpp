@@ -159,6 +159,17 @@ TEST(Delivery, OutOfRangeWriteThrows) {
   EXPECT_THROW(f.sim.run(), std::out_of_range);
 }
 
+TEST(Delivery, HostWriteRejectsAWrappingLength) {
+  Fixture f;
+  NetworkClient& c = f.machine.client({1, kSlice0});
+  std::byte b{};
+  // address + n wraps to 8 here; the bounds check must not form that sum.
+  EXPECT_THROW(c.hostWrite(16, &b, SIZE_MAX - 7), std::out_of_range);
+  EXPECT_THROW(c.hostWrite(std::uint32_t(c.memoryBytes()), &b, 1),
+               std::out_of_range);
+  EXPECT_NO_THROW(c.hostWrite(std::uint32_t(c.memoryBytes() - 1), &b, 1));
+}
+
 Task fifoReader(Machine& m, ClientAddr a, int n, std::vector<std::uint32_t>& out) {
   ProcessingSlice& s = static_cast<ProcessingSlice&>(m.client(a));
   for (int i = 0; i < n; ++i) {
@@ -199,6 +210,87 @@ TEST(Delivery, FifoReaderBlocksUntilMessageArrives) {
   f.machine.client({0, kSlice0}).post(args);
   f.sim.run();
   EXPECT_EQ(got, std::vector<std::uint32_t>{99});
+}
+
+// Posts one 4-byte FIFO message per value, in order, from node 0 to `dst`.
+void postFifo(Machine& m, ClientAddr dst, std::initializer_list<std::uint32_t> vs) {
+  NetworkClient::SendArgs args;
+  args.type = PacketType::kFifo;
+  args.dst = dst;
+  args.inOrder = true;
+  for (std::uint32_t v : vs) {
+    args.payload = makePayload(&v, 4);
+    m.client({0, kSlice0}).post(args);
+  }
+}
+
+TEST(Delivery, FifoKeepsOrderWhenItDrainsAndRefillsUnderAParkedReader) {
+  Fixture f;
+  const ClientAddr dst{1, kSlice0};
+  postFifo(f.machine, dst, {1, 2, 3});
+  f.sim.run();
+  ProcessingSlice& s = f.machine.slice(1, 0);
+  ASSERT_EQ(s.fifoDepth(), 3u);
+
+  // The reader drains the queue to empty, then parks for a fourth message.
+  std::vector<std::uint32_t> got;
+  f.sim.spawn(fifoReader(f.machine, dst, 5, got));
+  f.sim.run();
+  EXPECT_EQ(got, (std::vector<std::uint32_t>{1, 2, 3}));
+  EXPECT_EQ(s.fifoDepth(), 0u);
+
+  // Refilling hands the parked reader the next arrivals in order; the one
+  // it does not ask for stays queued.
+  postFifo(f.machine, dst, {4, 5, 6});
+  f.sim.run();
+  EXPECT_EQ(got, (std::vector<std::uint32_t>{1, 2, 3, 4, 5}));
+  ASSERT_EQ(s.fifoDepth(), 1u);
+  PacketPtr last = s.pollFifo();
+  ASSERT_NE(last, nullptr);
+  std::uint32_t v;
+  std::memcpy(&v, last->payload->data(), 4);
+  EXPECT_EQ(v, 6u);
+  EXPECT_EQ(s.pollFifo(), nullptr);
+}
+
+// Depth counts queued messages; the high-water mark counts each arrival
+// before a parked reader takes it, and never falls.
+TEST(Delivery, FifoDepthAndHighWaterFollowPushesAndPops) {
+  Fixture f;
+  const ClientAddr dst{1, kSlice2};
+  ProcessingSlice& s = f.machine.slice(1, 2);
+  EXPECT_EQ(s.fifoDepth(), 0u);
+  EXPECT_EQ(s.fifoHighWater(), 0u);
+
+  postFifo(f.machine, dst, {1, 2, 3});
+  f.sim.run();
+  EXPECT_EQ(s.fifoDepth(), 3u);
+  EXPECT_EQ(s.fifoHighWater(), 3u);
+  s.pollFifo();
+  s.pollFifo();
+  EXPECT_EQ(s.fifoDepth(), 1u);
+  postFifo(f.machine, dst, {4, 5});
+  f.sim.run();
+  EXPECT_EQ(s.fifoDepth(), 3u);
+  EXPECT_EQ(s.fifoHighWater(), 3u);
+  postFifo(f.machine, dst, {6});
+  f.sim.run();
+  EXPECT_EQ(s.fifoDepth(), 4u);
+  EXPECT_EQ(s.fifoHighWater(), 4u);
+  while (s.pollFifo() != nullptr) {
+  }
+  EXPECT_EQ(s.fifoDepth(), 0u);
+  EXPECT_EQ(s.fifoHighWater(), 4u);
+
+  // A parked reader takes each arrival at once: depth stays 0.
+  std::vector<std::uint32_t> got;
+  f.sim.spawn(fifoReader(f.machine, dst, 1, got));
+  f.sim.run();
+  postFifo(f.machine, dst, {7});
+  f.sim.run();
+  EXPECT_EQ(got, std::vector<std::uint32_t>{7});
+  EXPECT_EQ(s.fifoDepth(), 0u);
+  EXPECT_EQ(s.fifoHighWater(), 4u);
 }
 
 TEST(Delivery, FifoToNonSliceThrows) {
@@ -427,6 +519,35 @@ TEST(FirstTouch, GrowingTheCounterBankKeepsParkedWaiters) {
   f.sim.run();
   EXPECT_EQ(woke, 1);  // woken exactly once
   EXPECT_EQ(c.counterValue(0), 2u);
+}
+
+TEST(FirstTouch, NodesAreBuiltOnFirstTouch) {
+  sim::Simulator sim;
+  const util::TorusShape shape{8, 8, 8};
+  Machine m(sim, shape);
+  EXPECT_EQ(m.nodesBuilt(), 0);
+  const ClientAddr src{0, kSlice0};
+  const ClientAddr dst{util::torusIndex({4, 0, 0}, shape), kSlice0};
+  EXPECT_GT(oneWayLatencyNs(m, src, dst, 64), 162.0);
+  // Unicast transit touches no intermediate node: only the two endpoints.
+  EXPECT_EQ(m.nodesBuilt(), 2);
+  Node& n = m.node(dst.node);
+  EXPECT_EQ(m.nodesBuilt(), 2);
+  EXPECT_EQ(n.index(), dst.node);
+  EXPECT_EQ(n.coord(), (util::TorusCoord{4, 0, 0}));
+  EXPECT_EQ(&m.client(dst), &n.client(kSlice0));
+}
+
+TEST(FirstTouch, BadNodeAndClientIdsThrow) {
+  Fixture f;
+  EXPECT_THROW(f.machine.node(-1), std::out_of_range);
+  EXPECT_THROW(f.machine.node(f.machine.numNodes()), std::out_of_range);
+  EXPECT_EQ(f.machine.nodesBuilt(), 0);
+  Node& n = f.machine.node(f.machine.numNodes() - 1);
+  EXPECT_THROW(n.client(-1), std::out_of_range);
+  EXPECT_THROW(n.client(kClientsPerNode), std::out_of_range);
+  for (int c = 0; c < kClientsPerNode; ++c)
+    EXPECT_EQ(n.client(c).addr(), (ClientAddr{n.index(), c}));
 }
 
 // A one-hop probe on a full 8x8x8 machine commits exactly the one page of

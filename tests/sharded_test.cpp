@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "machine_digest.hpp"
 #include "net/machine.hpp"
 #include "net/probe.hpp"
 #include "plan_registry.hpp"
@@ -30,32 +31,8 @@
 namespace anton {
 namespace {
 
-// One FNV-1a step over the eight little-endian bytes of `v`.
-void mix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 0x100000001b3ULL;
-  }
-}
-
-// FNV-1a over every counter bank of the machine, and over every client
-// memory when `withMemory`.
-std::uint64_t machineDigest(net::Machine& m, bool withMemory) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (int n = 0; n < m.numNodes(); ++n) {
-    for (int c = 0; c < net::kClientsPerNode; ++c) {
-      net::NetworkClient& cl = m.client({n, c});
-      if (withMemory) {
-        for (std::byte b : cl.memory()) {
-          h ^= std::uint64_t(b);
-          h *= 0x100000001b3ULL;
-        }
-      }
-      for (int k = 0; k < cl.numCounters(); ++k) mix(h, cl.counterValue(k));
-    }
-  }
-  return h;
-}
+using test::fnvMix;
+using test::machineDigest;
 
 struct StormResult {
   net::MachineStats stats;
@@ -130,21 +107,21 @@ StormResult trafficStorm(std::uint64_t seed, const std::string& shardingName,
 }
 
 // The Fig. 5 pings: three 64 B one-way counted writes on the paper's 8x8x8
-// torus, from node 0 to corners 1, 4 and 12 hops away. The digest skips
-// client memories: hashing 512 nodes' worth costs seconds, and the counters
-// it keeps already record every delivery.
+// torus, from node 0 to corners 1, 4 and 12 hops away.
+void driveFig5Pings(net::Machine& m) {
+  for (util::TorusCoord dst :
+       {util::TorusCoord{1, 0, 0}, util::TorusCoord{2, 2, 0},
+        util::TorusCoord{4, 4, 4}})
+    net::oneWayLatencyNs(m, {0, net::kSlice0},
+                         {util::torusIndex(dst, m.shape()), net::kSlice0}, 64);
+}
+
+// The pings on a fresh machine. The digest skips client memories: scanning
+// 512 nodes' worth (917 MiB) costs about a quarter second a run, and the
+// counters it keeps already record every delivery.
 StormResult fig5Pings(const std::string& shardingName, int workers) {
-  return shardedRun(
-      {8, 8, 8},
-      [](net::Machine& m) {
-        for (util::TorusCoord dst :
-             {util::TorusCoord{1, 0, 0}, util::TorusCoord{2, 2, 0},
-              util::TorusCoord{4, 4, 4}})
-          net::oneWayLatencyNs(
-              m, {0, net::kSlice0},
-              {util::torusIndex(dst, m.shape()), net::kSlice0}, 64);
-      },
-      shardingName, workers, /*withMemory=*/false);
+  return shardedRun({8, 8, 8}, driveFig5Pings, shardingName, workers,
+                    /*withMemory=*/false);
 }
 
 void expectIdentical(const StormResult& serial, const StormResult& sharded) {
@@ -181,6 +158,26 @@ TEST(ShardedKernel, Fig5PingsAreBitIdenticalToSerial) {
     expectIdentical(serial, sharded);
     EXPECT_GT(sharded.sharded.windows, 0u);
   }
+}
+
+// Nodes are built on first touch, but never by a shard worker: enabling
+// sharded mode builds every node of a Machine nothing has touched yet, and
+// the run that follows matches the serial one.
+TEST(ShardedKernel, EnableOnAnUntouchedMachineBuildsEveryNode) {
+  StormResult serial = fig5Pings("", 0);
+  sim::Simulator sim;
+  net::Machine m(sim, {8, 8, 8});
+  ASSERT_EQ(m.nodesBuilt(), 0);
+  sim.enableSharded(
+      verify::shardLayout(m.shape(), verify::ShardFamily::kSlabX), 2);
+  EXPECT_EQ(m.nodesBuilt(), m.numNodes());
+  driveFig5Pings(m);
+  EXPECT_GT(sim.shardedStats().windows, 0u);
+  sim.disableSharded();
+  EXPECT_EQ(m.stats(), serial.stats);
+  EXPECT_EQ(machineDigest(m, /*withMemory=*/false), serial.digest);
+  EXPECT_EQ(sim.now(), serial.finalTime);
+  EXPECT_EQ(sim.scheduleDigest(), serial.scheduleDigest);
 }
 
 TEST(ShardedKernel, WorkerThreadsMatchTheSingleThreadedWindows) {
@@ -341,11 +338,11 @@ TEST(ShardedKernel, MachineRefusesShardingWithAFaultModelInstalled) {
 // pair bounds, in map order.
 std::uint64_t layoutDigest(const sim::ShardLayout& layout) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (int shard : layout.shardOfNode) mix(h, std::uint64_t(shard));
+  for (int shard : layout.shardOfNode) h = fnvMix(h, std::uint64_t(shard));
   for (const auto& [pair, bound] : layout.pairBoundPs) {
-    mix(h, std::uint64_t(pair.first));
-    mix(h, std::uint64_t(pair.second));
-    mix(h, std::uint64_t(bound));
+    h = fnvMix(h, std::uint64_t(pair.first));
+    h = fnvMix(h, std::uint64_t(pair.second));
+    h = fnvMix(h, std::uint64_t(bound));
   }
   return h;
 }

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "util/head_queue.hpp"
 #include "util/json.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -24,6 +25,28 @@ TEST(Vec3, Arithmetic) {
   EXPECT_DOUBLE_EQ(a.dot(b), 32.0);
   EXPECT_EQ(a.cross(b), Vec3(-3, 6, -3));
   EXPECT_DOUBLE_EQ(Vec3(3, 4, 0).norm(), 5.0);
+}
+
+// Pops come out in push order across a drain to empty and a refill, and a
+// push made while items are queued lands behind them.
+TEST(HeadQueue, KeepsPushOrderAcrossDrainAndRefill) {
+  HeadQueue<int> q;
+  EXPECT_TRUE(q.empty());
+  q.push(1);
+  q.push(2);
+  EXPECT_EQ(q.pop(), 1);
+  q.push(3);
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.front(), 2);
+  for (int& v : q.items()) v *= 10;
+  EXPECT_EQ(q.pop(), 20);
+  EXPECT_EQ(q.pop(), 30);
+  EXPECT_TRUE(q.empty());
+  EXPECT_TRUE(q.items().empty());
+  q.push(4);
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.pop(), 4);
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(TorusCoord, Wrap) {
